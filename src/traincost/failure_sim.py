@@ -51,6 +51,9 @@ from .cluster_model import (
 from .scaling_laws import ModelSpec, ScalingConstants
 from .tables import CsvTable
 
+# tests/test_golden.py pins the sha256 of simulate and report output, which
+# depends on this numpy Philox stream: a change to the stream must bump
+# this tag and those hashes together.
 GENERATOR_NAME = "philox4x64"
 
 TRACE_COLUMNS = ("time_h", "kind", "group_id")
