@@ -82,13 +82,16 @@ def parse_range_spec(spec: str) -> list[int]:
     if count == 1:
         return [start]
     points = []
-    for i in range(count):
-        frac = i / (count - 1)
-        if spacing == "linear":
-            value = start + (end - start) * frac
-        else:
-            value = start * (end / start) ** frac
-        points.append(round(value))
+    try:
+        for i in range(count):
+            frac = i / (count - 1)
+            if spacing == "linear":
+                value = start + (end - start) * frac
+            else:
+                value = start * (end / start) ** frac
+            points.append(round(value))
+    except OverflowError:
+        raise CliError(f"range spec exceeds float range: {spec!r}")
     # Rounding can collide on dense grids; keep strictly ascending values.
     out = []
     for p in points:
@@ -137,7 +140,7 @@ def default_sweep_variants(resilience: ResilienceConfig) -> list[SweepVariant]:
 def cmd_cost(config: ConfigFile, params: float, experts: int) -> tuple[CsvTable, str]:
     """Ideal (failure-free) compute, GPU-hours and dollars for one model."""
     model = ModelSpec(params=params, experts=experts)
-    rates = config.cluster.rates()
+    rates = config.cluster.rates
     tokens = required_tokens(model, config.scaling)
     flops = moe_training_flops(model, config.scaling)
     gpu_hours = ideal_gpu_hours(flops, rates)
@@ -165,46 +168,29 @@ def cmd_sweep(
     if variants is None:
         variants = default_sweep_variants(config.resilience)
     model = ModelSpec(config.growth.base_params, config.scenario.base_experts)
-    template = config.cluster.cluster_spec(gpus_list[0])
+    flops = float(moe_training_flops(model, config.scaling))
     results = cluster_model.sweep_system_size(
-        model, config.scaling, template, variants, gpus_list
+        model, config.scaling, config.cluster, variants, gpus_list
     )
-    variant_by_name = {v.name: v for v in variants}
-    rows = []
-    all_no_progress = True
-    for n_gpus, name, breakdown in results:
-        variant = variant_by_name[name]
-        cluster = config.cluster.cluster_spec(n_gpus)
-        if variant.fs_bw_gbs is not None:
-            cluster = replace(cluster, fs_bw_gbs=variant.fs_bw_gbs)
-        res = variant.resilience
-        mtti = cluster_model.system_mtti(cluster)
-        m_eff = cluster_model.effective_mtti(mtti, res.tolerated_group_failures)
-        delta = cluster_model.checkpoint_write_time(cluster, res)
-        tau = cluster_model.optimal_checkpoint_interval(delta, m_eff, breakdown.solve_h)
-        eta = cluster_model.parallel_efficiency(
-            cluster_model.group_count(cluster, res), res.seq_fraction
+    rows = tuple(
+        (
+            n_gpus, name, float(model.params), model.experts, flops,
+            run.mtti_h, run.mtti_eff_h, run.delta_h, run.tau_h, run.efficiency,
+            run.wall_h if run.ok else None,
+            run.gpu_hours if run.ok else None,
+            run.gpu_dollars if run.ok else None,
+            run.status,
         )
-        ok = breakdown.ok
-        if ok:
-            all_no_progress = False
-        rows.append((
-            n_gpus, name, float(model.params), model.experts,
-            float(moe_training_flops(model, config.scaling)),
-            mtti, m_eff, delta, tau, eta,
-            breakdown.wall_h if ok else None,
-            breakdown.gpu_hours if ok else None,
-            breakdown.gpu_dollars if ok else None,
-            breakdown.status,
-        ))
-    return CsvTable(SWEEP_COLUMNS, tuple(rows)), all_no_progress
+        for n_gpus, name, run in results
+    )
+    return CsvTable(SWEEP_COLUMNS, rows), not any(run.ok for _, _, run in results)
 
 
 def cmd_project(
     config: ConfigFile, years: list[int], scenarios: list[Scenario]
 ) -> tuple[CsvTable, str]:
     """Yearly cost projection plus market-crossing summary."""
-    rates = config.cluster.rates()
+    rates = config.cluster.rates
     rows = []
     lines = []
     for scenario in scenarios:
@@ -244,7 +230,7 @@ def cmd_simulate(
     """Monte Carlo replications plus a validation report against the closed form."""
     sim_config = failure_sim.SimConfig(
         model=ModelSpec(config.growth.base_params, config.scenario.base_experts),
-        cluster=config.cluster.cluster_spec(n_gpus),
+        cluster=replace(config.cluster, n_gpus=n_gpus),
         constants=config.scaling,
         resilience=config.resilience,
         seed=seed,
@@ -314,7 +300,7 @@ def cmd_report(config: ConfigFile, seed: int, replications: int) -> str:
 
 
 def _narrative(config: ConfigFile) -> str:
-    rates = config.cluster.rates()
+    rates = config.cluster.rates
     dense_1t = moe_training_flops(ModelSpec(1e12, 1), config.scaling)
     rows_2023 = projection.training_cost_at(
         config.growth.base_year, config.growth, SCENARIOS["best_guess"], rates, config.market
@@ -357,7 +343,7 @@ def _resilience_ratio(config: ConfigFile) -> float:
     model = ModelSpec(config.growth.base_params, config.scenario.base_experts)
     baseline, optimized = default_sweep_variants(config.resilience)
     rows = cluster_model.sweep_system_size(
-        model, config.scaling, config.cluster.cluster_spec(DEFAULT_SIM_GPUS),
+        model, config.scaling, config.cluster,
         [baseline, optimized], [DEFAULT_SIM_GPUS],
     )
     walls = {name: b.wall_h for _, name, b in rows}

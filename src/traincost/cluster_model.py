@@ -52,16 +52,12 @@ class ClusterSpec:
     rates: CostRates = field(default_factory=CostRates)
 
     def __post_init__(self):
-        if self.n_gpus < 1:
-            raise ValueError("n_gpus must be >= 1")
-        if self.gpus_per_cpu < 1:
-            raise ValueError("gpus_per_cpu must be >= 1")
-        if self.gpu_mtbf_h <= 0 or self.cpu_mtbf_h <= 0:
-            raise ValueError("MTBFs must be > 0")
-        if self.fs_bw_gbs <= 0:
-            raise ValueError("fs_bw_gbs must be > 0")
-        if self.gpus_per_group < 1:
-            raise ValueError("gpus_per_group must be >= 1")
+        for name in ("n_gpus", "gpus_per_cpu", "gpus_per_group"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be >= 1")
+        for name in ("gpu_mtbf_h", "cpu_mtbf_h", "gpu_mem_gb", "fs_bw_gbs"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
 
 
 @dataclass(frozen=True)
@@ -77,13 +73,13 @@ class ResilienceConfig:
     def __post_init__(self):
         if not 0.0 < self.ckpt_mem_fraction <= 1.0:
             raise ValueError("ckpt_mem_fraction must lie in (0, 1]")
-        if self.tolerated_group_failures < 0:
+        if not self.tolerated_group_failures >= 0:
             raise ValueError("tolerated_group_failures must be >= 0")
-        if self.group_count_cap < 1:
+        if not self.group_count_cap >= 1:
             raise ValueError("group_count_cap must be >= 1")
         if self.tolerated_group_failures >= self.group_count_cap:
             raise ValueError("tolerated_group_failures must be < group_count_cap")
-        if self.ttr_h < 0:
+        if not self.ttr_h >= 0:
             raise ValueError("ttr_h must be >= 0")
         if not 0.0 <= self.seq_fraction < 1.0:
             raise ValueError("seq_fraction must lie in [0, 1)")
@@ -91,9 +87,20 @@ class ResilienceConfig:
 
 @dataclass(frozen=True)
 class RunBreakdown:
-    """Where the wall-clock of one training run goes, plus its price."""
+    """One training run: its derived quantities, where the wall-clock goes, its price.
+
+    The derived quantities (MTTI, effective MTTI, checkpoint write time
+    delta, checkpoint interval tau, group count and parallel efficiency)
+    are set on NoProgress runs too.
+    """
 
     solve_h: float
+    mtti_h: float
+    mtti_eff_h: float
+    delta_h: float
+    tau_h: float
+    groups: int
+    efficiency: float
     ckpt_overhead_h: float
     expected_rework_h: float
     expected_restart_h: float
@@ -224,45 +231,43 @@ def runtime_from_solve(
     solve_h: float, cluster: ClusterSpec, resilience: ResilienceConfig
 ) -> RunBreakdown:
     """Expected wall-clock breakdown for a run of solve_h ideal hours."""
-    if solve_h <= 0:
-        raise ValueError("solve_h must be > 0")
+    if not 0 < solve_h < math.inf:
+        raise ValueError("work target solve_h must be finite and > 0")
+    groups = group_count(cluster, resilience)
+    mtti = system_mtti(cluster)
+    m_eff = effective_mtti(mtti, resilience.tolerated_group_failures)
     delta = checkpoint_write_time(cluster, resilience)
-    m_eff = effective_mtti(system_mtti(cluster), resilience.tolerated_group_failures)
     tau = optimal_checkpoint_interval(delta, m_eff, solve_h)
-    n_ckpt = checkpoint_count(solve_h, tau)
-    ckpt_overhead = n_ckpt * delta
+    ckpt_overhead = checkpoint_count(solve_h, tau) * delta
 
     # Expected loss per interrupt (half a segment of rework plus recovery)
     # as a fraction of the effective MTTI.
     availability = 1.0 - (tau / 2.0 + resilience.ttr_h) / m_eff
+    status = STATUS_OK
     if availability <= 0.0:
-        inf = math.inf
-        return RunBreakdown(
-            solve_h=solve_h,
-            ckpt_overhead_h=ckpt_overhead,
-            expected_rework_h=inf,
-            expected_restart_h=inf,
-            wall_h=inf,
-            gpu_hours=inf,
-            gpu_dollars=inf,
-            cloud_dollars=inf,
-            status=STATUS_NO_PROGRESS,
-        )
-
-    base = solve_h + ckpt_overhead
-    wall = base / availability
-    inflation = wall - base
-    loss_per_interrupt = tau / 2.0 + resilience.ttr_h
-    if inflation > 0.0 and loss_per_interrupt > 0.0:
-        rework = inflation * (tau / 2.0) / loss_per_interrupt
+        wall = rework = restart = math.inf
+        status = STATUS_NO_PROGRESS
     else:
-        rework = 0.0
-    restart = inflation - rework
+        base = solve_h + ckpt_overhead
+        wall = base / availability
+        inflation = wall - base
+        loss_per_interrupt = tau / 2.0 + resilience.ttr_h
+        if inflation > 0.0 and loss_per_interrupt > 0.0:
+            rework = inflation * (tau / 2.0) / loss_per_interrupt
+        else:
+            rework = 0.0
+        restart = inflation - rework
 
     gpu_hours = wall * cluster.n_gpus
     gpu_dollars, cloud_dollars = dollar_cost(gpu_hours, cluster.rates)
     return RunBreakdown(
         solve_h=solve_h,
+        mtti_h=mtti,
+        mtti_eff_h=m_eff,
+        delta_h=delta,
+        tau_h=tau,
+        groups=groups,
+        efficiency=parallel_efficiency(groups, resilience.seq_fraction),
         ckpt_overhead_h=ckpt_overhead,
         expected_rework_h=rework,
         expected_restart_h=restart,
@@ -270,6 +275,7 @@ def runtime_from_solve(
         gpu_hours=gpu_hours,
         gpu_dollars=gpu_dollars,
         cloud_dollars=cloud_dollars,
+        status=status,
     )
 
 

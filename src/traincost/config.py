@@ -1,23 +1,26 @@
 """Configuration ingestion and serialization.
 
-Config files are small YAML documents with one section per subsystem;
-key names mirror the parameter table the defaults come from.  Every key
-is optional: missing keys fall back to the shipped defaults and each
-applied default is recorded in the parsed config's provenance list.
-Unknown sections or keys are rejected, with the offending line reported.
+Config files are small YAML documents with one section per subsystem.
+One table, _FIELDS, maps every key to the dataclass attribute it sets,
+in serialization order. Every key is optional: a missing key keeps the
+value of the default ConfigFile (of the named preset for scenario.*),
+and each applied default is recorded in the parsed config's provenance
+list. A key's value type is the type of that default. Range checks live
+in the dataclasses; a value they reject, and unknown sections or keys,
+are reported with the section.key and its line.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, fields
-from typing import Callable
+import re
+from dataclasses import dataclass, field, replace
+from functools import reduce
 
 import yaml
 
 from .cluster_model import ClusterSpec, ResilienceConfig
 from .projection import SCENARIOS, GrowthModel, MarketModel, Scenario
-from .scaling_laws import CostRates, ScalingConstants
+from .scaling_laws import ScalingConstants
 
 
 class ConfigError(Exception):
@@ -25,44 +28,14 @@ class ConfigError(Exception):
 
 
 @dataclass(frozen=True)
-class ClusterTemplate:
-    """Per-machine parameters of a cluster, without the GPU count."""
-
-    gpu_mem_gb: float = 80.0
-    gpu_mtbf_h: float = 950_000.0
-    cpu_mtbf_h: float = 1_500_000.0
-    gpus_per_cpu: int = 4
-    tf_per_gpu: float = 150.0
-    fs_bw_gbs: float = 500.0
-    gpus_per_group: int = 512
-    cost_per_gpu_h: float = 2.5
-    cloud_multiplier: float = 4.8
-
-    def rates(self) -> CostRates:
-        return CostRates(
-            sustained_flops_per_gpu=self.tf_per_gpu * 1e12,
-            dollars_per_gpu_hour=self.cost_per_gpu_h,
-            cloud_multiplier=self.cloud_multiplier,
-        )
-
-    def cluster_spec(self, n_gpus: int) -> ClusterSpec:
-        return ClusterSpec(
-            n_gpus=n_gpus,
-            gpus_per_cpu=self.gpus_per_cpu,
-            gpu_mtbf_h=self.gpu_mtbf_h,
-            cpu_mtbf_h=self.cpu_mtbf_h,
-            gpu_mem_gb=self.gpu_mem_gb,
-            fs_bw_gbs=self.fs_bw_gbs,
-            gpus_per_group=self.gpus_per_group,
-            rates=self.rates(),
-        )
-
-
-@dataclass(frozen=True)
 class ConfigFile:
-    """A fully defaulted, validated configuration."""
+    """A fully defaulted, validated configuration.
 
-    cluster: ClusterTemplate = field(default_factory=ClusterTemplate)
+    cluster is a template whose n_gpus is a placeholder; callers size it
+    with replace(config.cluster, n_gpus=n).
+    """
+
+    cluster: ClusterSpec = field(default_factory=lambda: ClusterSpec(n_gpus=1))
     scaling: ScalingConstants = field(default_factory=ScalingConstants)
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
     growth: GrowthModel = field(default_factory=GrowthModel)
@@ -71,131 +44,63 @@ class ConfigFile:
     defaulted: tuple[str, ...] = field(default=(), compare=False)
 
 
-def _positive(x) -> bool:
-    return x > 0
-
-
-def _non_negative(x) -> bool:
-    return x >= 0
-
-
-def _fraction_half_open(x) -> bool:
-    return 0.0 <= x < 1.0
-
-
-@dataclass(frozen=True)
-class _Key:
-    name: str
-    kind: type  # int, float or str
-    check: Callable | None = None
-    hint: str = ""
-
-
-_SCHEMA: dict[str, list[_Key]] = {
-    "cluster": [
-        _Key("gpu_mem_gb", float, _positive, "> 0"),
-        _Key("gpu_mtbf_h", float, _positive, "> 0"),
-        _Key("cpu_mtbf_h", float, _positive, "> 0"),
-        _Key("gpus_per_cpu", int, lambda x: x >= 1, ">= 1"),
-        _Key("tf_per_gpu", float, _positive, "> 0"),
-        _Key("fs_bw_gbs", float, _positive, "> 0"),
-        _Key("gpus_per_group", int, lambda x: x >= 1, ">= 1"),
-        _Key("cost_per_gpu_h", float, _positive, "> 0"),
-        _Key("cloud_multiplier", float, _positive, "> 0"),
-    ],
-    "scaling": [
-        _Key("flop_per_token", float, _positive, "> 0"),
-        _Key("tokens_per_param", float, _positive, "> 0"),
-        _Key("token_scaling", float, lambda x: 1.0 <= x <= 2.5, "in [1.0, 2.5]"),
-    ],
-    "resilience": [
-        _Key("ckpt_mem_fraction", float, lambda x: 0 < x <= 1, "in (0, 1]"),
-        _Key("ft_f", int, _non_negative, ">= 0"),
-        _Key("ft_g", int, lambda x: x >= 1, ">= 1"),
-        _Key("ttr_h", float, _non_negative, ">= 0"),
-        _Key("seq_comp", float, _fraction_half_open, "in [0, 1)"),
-    ],
-    "growth": [
-        _Key("base_year", int),
-        _Key("base_params", float, _positive, "> 0"),
-        _Key("param_growth", float, _positive, "> 0"),
-        _Key("gpu_perf_doubling_years", float, _positive, "> 0"),
-        _Key("gpu_perf_growth", float, _positive, "> 0"),
-        _Key("supercomputer_growth", float, _positive, "> 0"),
-        _Key("compute_doubling_months", float, _positive, "> 0"),
-    ],
-    "scenario": [
-        _Key("name", str, lambda x: x in ("best_case", "best_guess", "worst_case", "custom"),
-             "one of best_case|best_guess|worst_case|custom"),
-        _Key("experts_per_year", float, _non_negative, ">= 0"),
-        _Key("flop_per_param", float, _positive, "> 0"),
-        _Key("base_experts", int, lambda x: x >= 1, ">= 1"),
-        _Key("token_scaling", float, lambda x: 1.0 <= x <= 2.5, "in [1.0, 2.5]"),
-    ],
-    "market": [
-        _Key("gpu_base_usd", float, _positive, "> 0"),
-        _Key("gpu_base_growth", float, lambda x: x > -1, "> -1"),
-        _Key("it_spend_usd", float, lambda x: x > 0, "> 0"),
-        _Key("it_spend_growth", float, lambda x: x > -1, "> -1"),
-    ],
+# "section.key" -> attribute of the ConfigFile field named by the section
+# (dotted for a nested dataclass), in serialization order.
+_FIELDS = {
+    "cluster.gpu_mem_gb": "gpu_mem_gb",
+    "cluster.gpu_mtbf_h": "gpu_mtbf_h",
+    "cluster.cpu_mtbf_h": "cpu_mtbf_h",
+    "cluster.gpus_per_cpu": "gpus_per_cpu",
+    "cluster.tf_per_gpu": "rates.sustained_flops_per_gpu",
+    "cluster.fs_bw_gbs": "fs_bw_gbs",
+    "cluster.gpus_per_group": "gpus_per_group",
+    "cluster.cost_per_gpu_h": "rates.dollars_per_gpu_hour",
+    "cluster.cloud_multiplier": "rates.cloud_multiplier",
+    "scaling.flop_per_token": "flop_per_token",
+    "scaling.tokens_per_param": "tokens_per_param",
+    "scaling.token_scaling": "token_scaling",
+    "resilience.ckpt_mem_fraction": "ckpt_mem_fraction",
+    "resilience.ft_f": "tolerated_group_failures",
+    "resilience.ft_g": "group_count_cap",
+    "resilience.ttr_h": "ttr_h",
+    "resilience.seq_comp": "seq_fraction",
+    "growth.base_year": "base_year",
+    "growth.base_params": "base_params",
+    "growth.param_growth": "param_growth_per_year",
+    "growth.gpu_perf_doubling_years": "gpu_perf_per_dollar_doubling_years",
+    "scenario.name": "name",
+    "scenario.experts_per_year": "experts_per_year",
+    "scenario.flop_per_param": "flop_per_param_with_tokens",
+    "scenario.base_experts": "base_experts",
+    "scenario.token_scaling": "token_scaling",
+    "market.gpu_base_usd": "gpu_installed_base_usd",
+    "market.gpu_base_growth": "gpu_installed_base_growth",
+    "market.it_spend_usd": "it_spend_usd",
+    "market.it_spend_growth": "it_spend_growth",
 }
 
-_GROWTH_FIELD_BY_KEY = {
-    "base_year": "base_year",
-    "base_params": "base_params",
-    "param_growth": "param_growth_per_year",
-    "gpu_perf_doubling_years": "gpu_perf_per_dollar_doubling_years",
-    "gpu_perf_growth": "gpu_perf_growth_per_year",
-    "supercomputer_growth": "supercomputer_growth_per_year",
-    "compute_doubling_months": "compute_doubling_months",
-}
+# Attribute value = YAML value * scale; tf_per_gpu is in TFLOP/s.
+_SCALE = {"cluster.tf_per_gpu": 1e12}
+
+_SECTIONS = tuple(dict.fromkeys(key.split(".")[0] for key in _FIELDS))
 
 
-def _defaults_for(section: str, scenario_name: str) -> dict:
-    if section == "cluster":
-        template = ClusterTemplate()
-        return {f.name: getattr(template, f.name) for f in fields(template)}
-    if section == "scaling":
-        constants = ScalingConstants()
-        return {
-            "flop_per_token": constants.flop_per_token,
-            "tokens_per_param": constants.tokens_per_param,
-            "token_scaling": constants.token_scaling,
-        }
-    if section == "resilience":
-        res = ResilienceConfig()
-        return {
-            "ckpt_mem_fraction": res.ckpt_mem_fraction,
-            "ft_f": res.tolerated_group_failures,
-            "ft_g": res.group_count_cap,
-            "ttr_h": res.ttr_h,
-            "seq_comp": res.seq_fraction,
-        }
-    if section == "growth":
-        growth = GrowthModel()
-        return {key: getattr(growth, attr) for key, attr in _GROWTH_FIELD_BY_KEY.items()}
-    if section == "scenario":
-        preset = SCENARIOS.get(scenario_name, SCENARIOS["best_guess"])
-        return {
-            "name": scenario_name,
-            "experts_per_year": preset.experts_per_year,
-            "flop_per_param": preset.flop_per_param_with_tokens,
-            "base_experts": preset.base_experts,
-            "token_scaling": preset.token_scaling,
-        }
-    if section == "market":
-        market = MarketModel()
-        return {
-            "gpu_base_usd": market.gpu_installed_base_usd,
-            "gpu_base_growth": market.gpu_installed_base_growth,
-            "it_spend_usd": market.it_spend_usd,
-            "it_spend_growth": market.it_spend_growth,
-        }
-    raise AssertionError(section)
+def _get(config: ConfigFile, key: str):
+    section = key.split(".")[0]
+    return reduce(getattr, _FIELDS[key].split("."), getattr(config, section))
 
 
-def _coerce(raw: str, key: _Key, path: str, line: int):
-    if key.kind is str:
+def _with(obj, changes: dict):
+    """obj with each (possibly dotted) attribute in changes set."""
+    top = {}
+    for path, value in changes.items():
+        head, _, rest = path.partition(".")
+        top[head] = replace(top.get(head, getattr(obj, head)), **{rest: value}) if rest else value
+    return replace(obj, **top)
+
+
+def _coerce(raw: str, kind: type, key: str, line: int):
+    if kind is str:
         return raw
     text = raw
     if text.lstrip("+-").startswith("."):  # YAML spellings .inf / .nan
@@ -203,18 +108,16 @@ def _coerce(raw: str, key: _Key, path: str, line: int):
     try:
         value = float(text)
     except ValueError:
-        raise ConfigError(f"{path}: expected a number, got {raw!r} (line {line})")
-    if not math.isfinite(value) and key.kind is int:
-        raise ConfigError(f"{path}: expected an integer, got {raw!r} (line {line})")
-    if key.kind is int:
-        if value != int(value):
-            raise ConfigError(f"{path}: expected an integer, got {raw!r} (line {line})")
+        raise ConfigError(f"{key}: expected a number, got {raw!r} (line {line})")
+    if kind is int:
+        if not value.is_integer():
+            raise ConfigError(f"{key}: expected an integer, got {raw!r} (line {line})")
         return int(value)
     return value
 
 
-def _scan(text: str) -> dict[str, dict[str, tuple[str, int]]]:
-    """Raw (section, key) -> (scalar string, line) mapping with line numbers."""
+def _scan(text: str) -> dict[str, tuple[str, int]]:
+    """Raw "section.key" -> (scalar string, line) mapping."""
     try:
         root = yaml.compose(text, Loader=yaml.SafeLoader)
     except yaml.YAMLError as exc:
@@ -223,104 +126,61 @@ def _scan(text: str) -> dict[str, dict[str, tuple[str, int]]]:
         return {}
     if not isinstance(root, yaml.MappingNode):
         raise ConfigError("config must be a mapping of sections")
-    out: dict[str, dict[str, tuple[str, int]]] = {}
+    out: dict[str, tuple[str, int]] = {}
     for section_node, body_node in root.value:
         section = str(section_node.value)
         line = section_node.start_mark.line + 1
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown section {section!r} (line {line})")
+        if isinstance(body_node, yaml.ScalarNode) and body_node.value == "":
+            continue
         if not isinstance(body_node, yaml.MappingNode):
-            if isinstance(body_node, yaml.ScalarNode) and body_node.value == "":
-                out.setdefault(section, {})
-                continue
             raise ConfigError(f"section {section!r} must be a mapping (line {line})")
-        known = {key.name for key in _SCHEMA[section]}
-        entries = out.setdefault(section, {})
         for key_node, value_node in body_node.value:
-            key_name = str(key_node.value)
+            name = str(key_node.value)
+            key = f"{section}.{name}"
             key_line = key_node.start_mark.line + 1
-            if key_name not in known:
-                raise ConfigError(
-                    f"unknown key {section}.{key_name!r} (line {key_line})"
-                )
+            if key not in _FIELDS:
+                raise ConfigError(f"unknown key {section}.{name!r} (line {key_line})")
             if not isinstance(value_node, yaml.ScalarNode):
-                raise ConfigError(
-                    f"{section}.{key_name}: expected a scalar (line {key_line})"
-                )
-            if key_name in entries:
-                raise ConfigError(
-                    f"duplicate key {section}.{key_name!r} (line {key_line})"
-                )
-            entries[key_name] = (value_node.value, key_line)
+                raise ConfigError(f"{key}: expected a scalar (line {key_line})")
+            if key in out:
+                raise ConfigError(f"duplicate key {section}.{name!r} (line {key_line})")
+            out[key] = (value_node.value, key_line)
     return out
+
+
+def _locate(section: str, raw: dict, exc: ValueError) -> str:
+    """Prefix a dataclass error with the given key its message names.
+
+    The dataclasses' ValueErrors name the attribute they reject; a
+    cross-field error falls back to the section's first given key.
+    """
+    given = [key for key in _FIELDS if key.startswith(section + ".") and key in raw]
+    words = set(re.findall(r"\w+", str(exc)))
+    key = next((k for k in given if _FIELDS[k].split(".")[-1] in words), given[0])
+    return f"{key}: {exc} (line {raw[key][1]})"
 
 
 def parse_config(text: str) -> ConfigFile:
     """Parse and validate a config document; empty input means all defaults."""
     raw = _scan(text)
+    preset = raw.get("scenario.name", ("best_guess",))[0]
+    config = ConfigFile(scenario=SCENARIOS.get(preset, SCENARIOS["best_guess"]))
 
-    scenario_name = "best_guess"
-    if "scenario" in raw and "name" in raw["scenario"]:
-        scenario_name = raw["scenario"]["name"][0]
-
-    values: dict[str, dict] = {}
-    defaulted: list[str] = []
-    for section, keys in _SCHEMA.items():
-        defaults = _defaults_for(section, scenario_name)
-        section_raw = raw.get(section, {})
-        section_values = {}
-        for key in keys:
-            path = f"{section}.{key.name}"
-            if key.name in section_raw:
-                raw_value, line = section_raw[key.name]
-                value = _coerce(raw_value, key, path, line)
-                if key.check is not None and not key.check(value):
-                    raise ConfigError(
-                        f"{path}: value {raw_value!r} out of range, must be {key.hint} (line {line})"
-                    )
-                section_values[key.name] = value
-            else:
-                section_values[key.name] = defaults[key.name]
-                defaulted.append(path)
-        values[section] = section_values
-
-    res = values["resilience"]
-    if res["ft_f"] >= res["ft_g"]:
-        line = raw.get("resilience", {}).get("ft_f", ("", 0))[1]
-        where = f" (line {line})" if line else ""
-        raise ConfigError(f"resilience.ft_f: must be < resilience.ft_g{where}")
-
-    try:
-        return ConfigFile(
-            cluster=ClusterTemplate(**values["cluster"]),
-            scaling=ScalingConstants(**values["scaling"]),
-            resilience=ResilienceConfig(
-                ckpt_mem_fraction=res["ckpt_mem_fraction"],
-                tolerated_group_failures=res["ft_f"],
-                group_count_cap=res["ft_g"],
-                ttr_h=res["ttr_h"],
-                seq_fraction=res["seq_comp"],
-            ),
-            growth=GrowthModel(
-                **{attr: values["growth"][key] for key, attr in _GROWTH_FIELD_BY_KEY.items()}
-            ),
-            scenario=Scenario(
-                name=values["scenario"]["name"],
-                experts_per_year=values["scenario"]["experts_per_year"],
-                flop_per_param_with_tokens=values["scenario"]["flop_per_param"],
-                base_experts=values["scenario"]["base_experts"],
-                token_scaling=values["scenario"]["token_scaling"],
-            ),
-            market=MarketModel(
-                gpu_installed_base_usd=values["market"]["gpu_base_usd"],
-                gpu_installed_base_growth=values["market"]["gpu_base_growth"],
-                it_spend_usd=values["market"]["it_spend_usd"],
-                it_spend_growth=values["market"]["it_spend_growth"],
-            ),
-            defaulted=tuple(defaulted),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    changes: dict[str, dict] = {}
+    for key, (scalar, line) in raw.items():
+        value = _coerce(scalar, type(_get(config, key)), key, line)
+        if key in _SCALE:
+            value *= _SCALE[key]
+        changes.setdefault(key.split(".")[0], {})[_FIELDS[key]] = value
+    sections = {}
+    for section, given in changes.items():
+        try:
+            sections[section] = _with(getattr(config, section), given)
+        except ValueError as exc:
+            raise ConfigError(_locate(section, raw, exc)) from None
+    return replace(config, **sections, defaulted=tuple(k for k in _FIELDS if k not in raw))
 
 
 def load_config(path: str) -> ConfigFile:
@@ -328,55 +188,13 @@ def load_config(path: str) -> ConfigFile:
         return parse_config(handle.read())
 
 
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        raise AssertionError("no boolean config values")
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def serialize(config: ConfigFile) -> str:
     """Render a config with every key explicit; parse(serialize(c)) == c."""
-    sections = {
-        "cluster": {
-            f.name: getattr(config.cluster, f.name) for f in fields(config.cluster)
-        },
-        "scaling": {
-            "flop_per_token": config.scaling.flop_per_token,
-            "tokens_per_param": config.scaling.tokens_per_param,
-            "token_scaling": config.scaling.token_scaling,
-        },
-        "resilience": {
-            "ckpt_mem_fraction": config.resilience.ckpt_mem_fraction,
-            "ft_f": config.resilience.tolerated_group_failures,
-            "ft_g": config.resilience.group_count_cap,
-            "ttr_h": config.resilience.ttr_h,
-            "seq_comp": config.resilience.seq_fraction,
-        },
-        "growth": {
-            key: getattr(config.growth, attr)
-            for key, attr in _GROWTH_FIELD_BY_KEY.items()
-        },
-        "scenario": {
-            "name": config.scenario.name,
-            "experts_per_year": config.scenario.experts_per_year,
-            "flop_per_param": config.scenario.flop_per_param_with_tokens,
-            "base_experts": config.scenario.base_experts,
-            "token_scaling": config.scenario.token_scaling,
-        },
-        "market": {
-            "gpu_base_usd": config.market.gpu_installed_base_usd,
-            "gpu_base_growth": config.market.gpu_installed_base_growth,
-            "it_spend_usd": config.market.it_spend_usd,
-            "it_spend_growth": config.market.it_spend_growth,
-        },
-    }
     lines = []
-    for section in _SCHEMA:
-        lines.append(f"{section}:")
-        for key in _SCHEMA[section]:
-            lines.append(f"  {key.name}: {_format_value(sections[section][key.name])}")
+    for key in _FIELDS:
+        section, name = key.split(".")
+        if f"{section}:" not in lines:
+            lines.append(f"{section}:")
+        value = _get(config, key)
+        lines.append(f"  {name}: {value / _SCALE[key] if key in _SCALE else value}")
     return "\n".join(lines) + "\n"

@@ -30,24 +30,14 @@ from __future__ import annotations
 
 import heapq
 import math
+import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster_model import (
-    ClusterSpec,
-    ResilienceConfig,
-    STATUS_NO_PROGRESS,
-    checkpoint_write_time,
-    effective_mtti,
-    expected_runtime,
-    group_count,
-    optimal_checkpoint_interval,
-    solve_hours,
-    system_mtti,
-)
+from .cluster_model import ClusterSpec, ResilienceConfig, STATUS_NO_PROGRESS, expected_runtime
 from .scaling_laws import ModelSpec, ScalingConstants
 from .tables import CsvTable
 
@@ -130,22 +120,20 @@ class ValidationReport:
 
 
 def derive_run_parameters(config: SimConfig) -> RunParameters:
-    """Resolve a SimConfig into the bare quantities the event loop needs."""
-    work = solve_hours(config.model, config.constants, config.cluster, config.resilience)
-    delta = checkpoint_write_time(config.cluster, config.resilience)
-    if not math.isfinite(work):
-        raise ValueError("work target is not finite")
-    if not math.isfinite(delta):
+    """Resolve a SimConfig into the bare quantities the event loop needs.
+
+    They are the analytic model's own run quantities; a non-finite work
+    target is rejected there, a non-finite checkpoint write time here.
+    """
+    run = expected_runtime(config.model, config.constants, config.cluster, config.resilience)
+    if not math.isfinite(run.delta_h):
         raise ValueError("checkpoint write time is not finite")
-    mtti = system_mtti(config.cluster)
-    m_eff = effective_mtti(mtti, config.resilience.tolerated_group_failures)
-    tau = optimal_checkpoint_interval(delta, m_eff, work)
     return RunParameters(
-        work_h=work,
-        tau_h=tau,
-        delta_h=delta,
-        mtti_h=mtti,
-        groups=group_count(config.cluster, config.resilience),
+        work_h=run.solve_h,
+        tau_h=run.tau_h,
+        delta_h=run.delta_h,
+        mtti_h=run.mtti_h,
+        groups=run.groups,
         tolerated_failures=config.resilience.tolerated_group_failures,
         ttr_h=config.resilience.ttr_h,
     )
@@ -288,16 +276,26 @@ def _simulate_task(config: SimConfig, replication_index: int):
     return simulate_run(config, replication_index)
 
 
+def _available_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):  # Linux: the CPUs this process may run on
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def collect_replications(
     config: SimConfig, workers: int = 1
 ) -> list[tuple[float, EventCounts]]:
     """All replications in index order; workers > 1 fans out across processes.
 
+    At most min(workers, replications, available CPUs) processes start.
     Output is independent of the worker count because every replication's
     random stream is keyed by its own index.
     """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    workers = min(workers, config.replications, _available_cpus())
     indices = range(config.replications)
-    if workers <= 1:
+    if workers == 1:
         return [simulate_run(config, i) for i in indices]
     chunk = max(1, config.replications // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -29,21 +29,10 @@ class GrowthModel:
     base_params: float = 1.8e12
     param_growth_per_year: float = 1.8
     gpu_perf_per_dollar_doubling_years: float = 2.46
-    gpu_perf_growth_per_year: float = 0.69
-    supercomputer_growth_per_year: float = 0.78
-    compute_doubling_months: float = 4.0  # informational
 
     def __post_init__(self):
-        if self.base_params <= 0:
-            raise ValueError("base_params must be > 0")
-        for name in (
-            "param_growth_per_year",
-            "gpu_perf_per_dollar_doubling_years",
-            "gpu_perf_growth_per_year",
-            "supercomputer_growth_per_year",
-            "compute_doubling_months",
-        ):
-            if getattr(self, name) <= 0:
+        for name in ("base_params", "param_growth_per_year", "gpu_perf_per_dollar_doubling_years"):
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
 
 
@@ -67,11 +56,11 @@ class Scenario:
     def __post_init__(self):
         if self.name not in SCENARIO_NAMES:
             raise ValueError(f"name must be one of {SCENARIO_NAMES}")
-        if self.experts_per_year < 0:
+        if not self.experts_per_year >= 0:
             raise ValueError("experts_per_year must be >= 0")
-        if self.flop_per_param_with_tokens <= 0:
+        if not self.flop_per_param_with_tokens > 0:
             raise ValueError("flop_per_param_with_tokens must be > 0")
-        if self.base_experts < 1:
+        if not self.base_experts >= 1:
             raise ValueError("base_experts must be >= 1")
         if not 1.0 <= self.token_scaling <= 2.5:
             raise ValueError("token_scaling must lie in [1.0, 2.5]")
@@ -103,10 +92,12 @@ class MarketModel:
     it_spend_growth: float = 0.05
 
     def __post_init__(self):
-        if self.gpu_installed_base_usd <= 0 or self.it_spend_usd <= 0:
-            raise ValueError("market anchors must be > 0")
-        if self.gpu_installed_base_growth <= -1 or self.it_spend_growth <= -1:
-            raise ValueError("market growth factors must be > -1")
+        for name in ("gpu_installed_base_usd", "it_spend_usd"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
+        for name in ("gpu_installed_base_growth", "it_spend_growth"):
+            if not getattr(self, name) > -1:
+                raise ValueError(f"{name} must be > -1")
 
 
 @dataclass(frozen=True)

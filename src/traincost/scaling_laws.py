@@ -9,6 +9,7 @@ train at C / K.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 HOURS_TO_SECONDS = 3600.0
@@ -23,10 +24,9 @@ class ScalingConstants:
     token_scaling: float = 2.0
 
     def __post_init__(self):
-        if self.flop_per_token <= 0:
-            raise ValueError("flop_per_token must be > 0")
-        if self.tokens_per_param <= 0:
-            raise ValueError("tokens_per_param must be > 0")
+        for name in ("flop_per_token", "tokens_per_param"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
         if not 1.0 <= self.token_scaling <= 2.5:
             raise ValueError("token_scaling must lie in [1.0, 2.5]")
 
@@ -39,8 +39,8 @@ class ModelSpec:
     experts: int = 1
 
     def __post_init__(self):
-        if self.params <= 0:
-            raise ValueError("params must be > 0")
+        if not 0 < self.params < math.inf:
+            raise ValueError("params must be finite and > 0")
         if self.experts < 1 or self.experts != int(self.experts):
             raise ValueError("experts must be an integer >= 1")
 
@@ -54,12 +54,9 @@ class CostRates:
     cloud_multiplier: float = 4.8
 
     def __post_init__(self):
-        if self.sustained_flops_per_gpu <= 0:
-            raise ValueError("sustained_flops_per_gpu must be > 0")
-        if self.dollars_per_gpu_hour <= 0:
-            raise ValueError("dollars_per_gpu_hour must be > 0")
-        if self.cloud_multiplier <= 0:
-            raise ValueError("cloud_multiplier must be > 0")
+        for name in ("sustained_flops_per_gpu", "dollars_per_gpu_hour", "cloud_multiplier"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
 
 
 def _power(base, exponent: float):

@@ -1,4 +1,7 @@
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from traincost.cli import (
     CliError,
@@ -70,6 +73,13 @@ class TestCost:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("params", ["nan", "inf", "1e400"])
+    def test_non_finite_params_is_config_error(self, capsys, params):
+        code, out, err = run_cli(capsys, "cost", params)
+        assert code == 1
+        assert out == ""
+        assert "params must be finite" in err
+
 
 class TestSweep:
     def test_failure_free_single_point_wall_equals_solve(self, capsys, tmp_path):
@@ -82,7 +92,7 @@ class TestSweep:
         solve = solve_hours(
             ModelSpec(config.growth.base_params, config.scenario.base_experts),
             config.scaling,
-            config.cluster.cluster_spec(50_000),
+            replace(config.cluster, n_gpus=50_000),
             config.resilience,
         )
         baseline = [r for r in rows if r[header.index("config")] == "baseline"][0]
@@ -170,6 +180,13 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--gpus", "1024:2048:2:geometric")
         assert code == 1
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_rejected(self, capsys, workers):
+        code, out, err = run_cli(capsys, "simulate", "--reps", "2", "--workers", workers)
+        assert code == 1
+        assert out == ""
+        assert "workers must be >= 1" in err
+
 
 class TestOutputsAndExitCodes:
     def test_out_file(self, capsys, tmp_path):
@@ -254,3 +271,37 @@ def test_csv_numbers_round_trip(capsys):
     wall = rows[0][header.index("wall_h")]
     assert float(wall) == float(repr(float(wall)))
     assert len(wall.replace(".", "").replace("-", "").lstrip("0")) >= 10
+
+
+_INTS = st.one_of(st.integers(-3, 3000), st.integers(), st.integers(10**300, 10**400))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.text(max_size=30),
+    # Point counts stay small: a valid spec asks for that many points.
+    st.tuples(_INTS, _INTS, st.integers(-2, 50),
+              st.sampled_from(["linear", "geometric", "cubic"])).map(
+        lambda parts: ":".join(map(str, parts))),
+))
+def test_fuzz_range_spec_raises_only_cli_error(spec):
+    try:
+        points = parse_range_spec(spec)
+    except CliError:
+        return
+    assert points and all(b > a for a, b in zip(points, points[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.text(max_size=30),
+    # Spans stay small: a valid spec asks for that many years.
+    st.integers().flatmap(lambda start: st.tuples(st.just(start), st.integers(start - 5, start + 50)))
+    .map(lambda parts: ":".join(map(str, parts))),
+))
+def test_fuzz_years_spec_raises_only_cli_error(spec):
+    try:
+        years = parse_years_spec(spec)
+    except CliError:
+        return
+    assert years == list(range(years[0], years[-1] + 1))

@@ -321,6 +321,11 @@ def test_solve_hours_matches_manual_chain():
         {"n_gpus": 100, "gpu_mtbf_h": 0.0},
         {"n_gpus": 100, "fs_bw_gbs": -1.0},
         {"n_gpus": 100, "gpus_per_group": 0},
+        {"n_gpus": 100, "gpu_mem_gb": -1.0},
+        {"n_gpus": 100, "gpu_mem_gb": math.nan},
+        {"n_gpus": 100, "gpu_mtbf_h": math.nan},
+        {"n_gpus": 100, "cpu_mtbf_h": math.nan},
+        {"n_gpus": 100, "fs_bw_gbs": math.nan},
     ],
 )
 def test_invalid_cluster_rejected(kwargs):
@@ -337,6 +342,9 @@ def test_invalid_cluster_rejected(kwargs):
         {"tolerated_group_failures": 100, "group_count_cap": 100},
         {"ttr_h": -0.5},
         {"seq_fraction": 1.0},
+        {"ckpt_mem_fraction": math.nan},
+        {"ttr_h": math.nan},
+        {"seq_fraction": math.nan},
     ],
 )
 def test_invalid_resilience_rejected(kwargs):

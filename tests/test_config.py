@@ -1,8 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dataclasses import replace
+
 from traincost.config import (
-    ClusterTemplate,
+    _FIELDS,
     ConfigError,
     ConfigFile,
     parse_config,
@@ -12,9 +14,20 @@ from traincost.projection import SCENARIOS
 
 
 def total_keys():
-    from traincost.config import _SCHEMA
+    return len(_FIELDS)
 
-    return sum(len(keys) for keys in _SCHEMA.values())
+
+def float_keys():
+    defaults = parse_config("")
+    keys = []
+    for line in serialize(defaults).splitlines():
+        if line.startswith(" "):
+            name, value = line.strip().split(": ")
+            if "." in value:
+                keys.append(f"{section}.{name}")
+        else:
+            section = line.rstrip(":")
+    return keys
 
 
 class TestDefaults:
@@ -86,6 +99,35 @@ class TestValidation:
     def test_nan_rejected_by_range_check(self):
         with pytest.raises(ConfigError):
             parse_config("cluster:\n  gpu_mtbf_h: .nan\n")
+
+    @pytest.mark.parametrize("key", float_keys())
+    def test_nan_rejected_naming_key_and_line(self, key):
+        section, name = key.split(".")
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"{section}:\n  {name}: .nan\n")
+        assert str(err.value).startswith(f"{key}: ")
+        assert str(err.value).endswith("(line 2)")
+
+    def test_every_float_key_covered(self):
+        assert len(float_keys()) == 23
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("cluster:\n  tf_per_gpu: 0\n", "cluster.tf_per_gpu: sustained_flops_per_gpu must be > 0 (line 2)"),
+            ("cluster:\n  cpu_mtbf_h: -1\n", "cluster.cpu_mtbf_h: cpu_mtbf_h must be > 0 (line 2)"),
+            ("scaling:\n  token_scaling: 3\nscenario:\n  token_scaling: 2\n", "scaling.token_scaling:"),
+            ("scaling:\n  token_scaling: 2\nscenario:\n  token_scaling: 3\n", "scenario.token_scaling:"),
+            ("resilience:\n  ttr_h: 1\n  ft_g: 0\n", "resilience.ft_g:"),
+            ("resilience:\n  ft_f: 5\n  ft_g: 3\n", "resilience.ft_f:"),
+            ("resilience:\n  ft_f: 100\n  ft_g: 200\n  ttr_h: -1\n", "resilience.ttr_h:"),
+            ("market:\n  it_spend_growth: -2\n", "market.it_spend_growth: it_spend_growth must be > -1"),
+        ],
+    )
+    def test_dataclass_errors_name_the_key(self, text, where):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert where in str(err.value)
 
     def test_ft_f_must_be_below_ft_g(self):
         with pytest.raises(ConfigError) as err:
@@ -181,8 +223,45 @@ def test_round_trip_property(text):
 
 
 def test_cluster_template_builds_spec():
-    template = ClusterTemplate(tf_per_gpu=150.0, cost_per_gpu_h=2.5)
-    spec = template.cluster_spec(50_000)
+    config = parse_config("cluster:\n  tf_per_gpu: 312.5\n  cost_per_gpu_h: 1.75\n")
+    spec = replace(config.cluster, n_gpus=50_000)
     assert spec.n_gpus == 50_000
-    assert spec.rates.sustained_flops_per_gpu == 150e12
-    assert spec.rates.dollars_per_gpu_hour == 2.5
+    assert spec.rates.sustained_flops_per_gpu == 312.5e12
+    assert spec.rates.dollars_per_gpu_hour == 1.75
+    assert spec.rates.cloud_multiplier == 4.8
+
+
+_SCALARS = st.one_of(
+    st.sampled_from([".nan", ".inf", "-.inf", "1e400", "-0", "", "~", "custom", "best_case"]),
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.text(max_size=12),
+)
+
+
+def document_strategy():
+    sections = sorted({key.split(".")[0] for key in _FIELDS}) + ["bogus"]
+    key = st.one_of(
+        st.sampled_from(sorted(_FIELDS)),
+        st.tuples(st.sampled_from(sections), st.text(max_size=8)).map(".".join),
+    )
+    entries = st.lists(st.tuples(key, _SCALARS), max_size=6)
+
+    def render(items):
+        lines = []
+        for dotted, value in items:
+            section, _, name = dotted.partition(".")
+            lines += [f"{section}:", f"  {name}: {value}"]
+        return "\n".join(lines) + "\n"
+
+    return st.one_of(entries.map(render), st.text(max_size=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(document_strategy())
+def test_fuzz_parse_config_raises_only_config_error(text):
+    try:
+        config = parse_config(text)
+    except ConfigError:
+        return
+    assert parse_config(serialize(config)) == config

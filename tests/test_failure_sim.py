@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from traincost import failure_sim
 from traincost.cluster_model import (
     ClusterSpec,
     ResilienceConfig,
@@ -77,6 +78,41 @@ class TestDeterminism:
         serial = collect_replications(config, workers=1)
         parallel = collect_replications(config, workers=3)
         assert serial == parallel
+
+
+class TestWorkerBound:
+    @pytest.mark.parametrize(
+        "workers, cpus, started",
+        [(64, 8, [4]), (3, 8, [3]), (64, 2, [2]), (10**9, 2, [2]), (3, 1, [])],
+    )
+    def test_pool_size_capped(self, monkeypatch, workers, cpus, started):
+        sizes = []
+
+        class RecordingPool:
+            """Records the requested pool size and runs the tasks in process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(failure_sim, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(failure_sim, "_available_cpus", lambda: cpus)
+        config = reference_config(replications=4)
+        assert collect_replications(config, workers) == collect_replications(config, 1)
+        assert sizes == started
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            collect_replications(reference_config(replications=2), workers)
 
 
 class TestFailureFree:

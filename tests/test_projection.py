@@ -231,6 +231,9 @@ def test_model_size_monotone_in_year(rate, year):
         {"base_params": 0.0},
         {"param_growth_per_year": 0.0},
         {"gpu_perf_per_dollar_doubling_years": -1.0},
+        {"base_params": math.nan},
+        {"param_growth_per_year": math.nan},
+        {"gpu_perf_per_dollar_doubling_years": math.nan},
     ],
 )
 def test_invalid_growth_rejected(kwargs):
@@ -246,6 +249,9 @@ def test_invalid_growth_rejected(kwargs):
         {"flop_per_param_with_tokens": 0.0},
         {"base_experts": 0},
         {"token_scaling": 0.5},
+        {"experts_per_year": math.nan},
+        {"flop_per_param_with_tokens": math.nan},
+        {"token_scaling": math.nan},
     ],
 )
 def test_invalid_scenario_rejected(kwargs):
@@ -258,3 +264,7 @@ def test_invalid_market_rejected():
         MarketModel(gpu_installed_base_usd=-1.0)
     with pytest.raises(ValueError):
         MarketModel(it_spend_growth=-1.5)
+    for name in ("gpu_installed_base_usd", "gpu_installed_base_growth",
+                 "it_spend_usd", "it_spend_growth"):
+        with pytest.raises(ValueError, match=name):
+            MarketModel(**{name: math.nan})

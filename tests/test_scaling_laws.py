@@ -167,6 +167,9 @@ def test_cost_composition_matches_step_by_step(params):
         {"tokens_per_param": -1.0},
         {"token_scaling": 0.9},
         {"token_scaling": 2.6},
+        {"flop_per_token": math.nan},
+        {"tokens_per_param": math.nan},
+        {"token_scaling": math.nan},
     ],
 )
 def test_invalid_constants_rejected(kwargs):
@@ -174,7 +177,10 @@ def test_invalid_constants_rejected(kwargs):
         ScalingConstants(**kwargs)
 
 
-@pytest.mark.parametrize("params,experts", [(0.0, 1), (-1e12, 1), (1e12, 0), (1e12, 2.5)])
+@pytest.mark.parametrize(
+    "params,experts",
+    [(0.0, 1), (-1e12, 1), (1e12, 0), (1e12, 2.5), (math.nan, 1), (math.inf, 1)],
+)
 def test_invalid_model_rejected(params, experts):
     with pytest.raises(ValueError):
         ModelSpec(params, experts)
