@@ -34,6 +34,9 @@ DEFAULT_YEARS = "2023:2035"
 DEFAULT_SEED = 0
 DEFAULT_REPS = 100
 VALIDATION_TOLERANCE = 0.20
+# Request-size caps: every range or years spec does bounded work.
+MAX_RANGE_POINTS = 100_000
+MAX_YEARS_SPAN = 1_000
 
 SWEEP_COLUMNS = (
     "n_gpus", "config", "params", "experts", "flops", "mtti_h", "mtti_eff_h",
@@ -79,6 +82,8 @@ def parse_range_spec(spec: str) -> list[int]:
         raise CliError(f"range spec out of order: {spec!r}")
     if spacing not in ("linear", "geometric"):
         raise CliError(f"spacing must be linear or geometric, got {spacing!r}")
+    if count > MAX_RANGE_POINTS:
+        raise CliError(f"range spec asks for more than {MAX_RANGE_POINTS} points: {spec!r}")
     if count == 1:
         return [start]
     points = []
@@ -111,6 +116,8 @@ def parse_years_spec(spec: str) -> list[int]:
         raise CliError(f"years spec must use integers, got {spec!r}")
     if end < start:
         raise CliError(f"years spec out of order: {spec!r}")
+    if end - start > MAX_YEARS_SPAN:
+        raise CliError(f"years spec spans more than {MAX_YEARS_SPAN} years: {spec!r}")
     return list(range(start, end + 1))
 
 

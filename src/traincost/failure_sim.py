@@ -31,15 +31,15 @@ from __future__ import annotations
 import heapq
 import math
 import os
-import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .cluster_model import ClusterSpec, ResilienceConfig, STATUS_NO_PROGRESS, expected_runtime
 from .scaling_laws import ModelSpec, ScalingConstants
 from .tables import CsvTable
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # tests/test_golden.py pins the sha256 of simulate and report output, which
 # depends on this numpy Philox stream: a change to the stream must bump
@@ -140,20 +140,23 @@ def derive_run_parameters(config: SimConfig) -> RunParameters:
 
 
 def _replication_rng(seed: int, replication_index: int) -> np.random.Generator:
+    # numpy is imported here, not at module level, so that requests which
+    # never simulate (cost, sweep, project) do not pay for it.
+    import numpy as np
+
     key = np.array([seed, replication_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
 def _pick_active_group(rng, down_ids: set, groups: int) -> int:
-    # k-th group id not currently down; G is at most a few hundred.
+    # k-th group id not currently down: k steps past every down id at or
+    # below it. At most F groups are down at a pick: O(F log F), not O(G).
     k = int(rng.integers(groups - len(down_ids)))
-    idx = 0
-    for gid in range(groups):
-        if gid not in down_ids:
-            if idx == k:
-                return gid
-            idx += 1
-    raise AssertionError("no active group")
+    for gid in sorted(down_ids):
+        if gid > k:
+            break
+        k += 1
+    return k
 
 
 def _run_events(
@@ -297,6 +300,11 @@ def collect_replications(
     indices = range(config.replications)
     if workers == 1:
         return [simulate_run(config, i) for i in indices]
+    # The pool forks: importing numpy first lets every worker inherit it
+    # instead of importing it again.
+    import numpy  # noqa: F401
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, config.replications // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         configs = [config] * config.replications
@@ -314,6 +322,8 @@ def summarize(outcomes: list[tuple[float, EventCounts]]) -> SimResult:
     finite = all(math.isfinite(w) for w in walls)
     mean = math.fsum(walls) / n if finite else math.inf
     if n > 1 and finite:
+        import statistics
+
         stddev = statistics.stdev(walls)
         half_width = 1.96 * stddev / math.sqrt(n)
     else:

@@ -1,9 +1,12 @@
+import textwrap
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from traincost.cli import (
+    MAX_RANGE_POINTS,
+    MAX_YEARS_SPAN,
     CliError,
     main,
     parse_range_spec,
@@ -53,6 +56,27 @@ class TestRangeSpecs:
     def test_bad_years(self):
         with pytest.raises(CliError):
             parse_years_spec("2030:2020")
+
+    def test_point_cap(self):
+        assert len(parse_range_spec(f"1:{10**9}:{MAX_RANGE_POINTS}:linear")) == MAX_RANGE_POINTS
+        with pytest.raises(CliError, match="more than 100000 points"):
+            parse_range_spec(f"1:10:{MAX_RANGE_POINTS + 1}:linear")
+
+    def test_years_cap(self):
+        assert len(parse_years_spec(f"2000:{2000 + MAX_YEARS_SPAN}")) == MAX_YEARS_SPAN + 1
+        with pytest.raises(CliError, match="more than 1000 years"):
+            parse_years_spec(f"2000:{2001 + MAX_YEARS_SPAN}")
+
+    @pytest.mark.parametrize("args", [
+        ["sweep", "--gpus", "1:10:1000000000:linear"],
+        ["simulate", "--gpus", "1:10:1000000000:geometric"],
+        ["project", "--years", "0:1000000000"],
+    ])
+    def test_oversized_request_is_config_error(self, capsys, args):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 1
+        assert out == ""
+        assert "more than" in err
 
 
 class TestCost:
@@ -279,8 +303,7 @@ _INTS = st.one_of(st.integers(-3, 3000), st.integers(), st.integers(10**300, 10*
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(
     st.text(max_size=30),
-    # Point counts stay small: a valid spec asks for that many points.
-    st.tuples(_INTS, _INTS, st.integers(-2, 50),
+    st.tuples(_INTS, _INTS, _INTS,
               st.sampled_from(["linear", "geometric", "cubic"])).map(
         lambda parts: ":".join(map(str, parts))),
 ))
@@ -295,9 +318,7 @@ def test_fuzz_range_spec_raises_only_cli_error(spec):
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(
     st.text(max_size=30),
-    # Spans stay small: a valid spec asks for that many years.
-    st.integers().flatmap(lambda start: st.tuples(st.just(start), st.integers(start - 5, start + 50)))
-    .map(lambda parts: ":".join(map(str, parts))),
+    st.tuples(st.integers(), st.integers()).map(lambda p: f"{p[0]}:{p[0] + p[1]}"),
 ))
 def test_fuzz_years_spec_raises_only_cli_error(spec):
     try:
@@ -305,3 +326,19 @@ def test_fuzz_years_spec_raises_only_cli_error(spec):
     except CliError:
         return
     assert years == list(range(years[0], years[-1] + 1))
+
+
+def test_planning_requests_skip_simulator_imports(fresh_python):
+    out = fresh_python(textwrap.dedent("""
+        import contextlib, io, sys
+        from traincost import cli
+
+        heavy = ("numpy", "multiprocessing", "concurrent.futures.process", "statistics")
+        for argv in (["cost", "1e12", "8"], ["sweep"], ["project"], ["simulate", "--reps", "2"]):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                assert cli.main(argv) == 0
+            print(argv[0], *[name for name in heavy if name in sys.modules])
+    """))
+    *planning, simulate = out.splitlines()
+    assert planning == ["cost", "sweep", "project"]
+    assert "numpy" in simulate.split()

@@ -1,7 +1,10 @@
+import concurrent.futures
 import math
+import textwrap
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from traincost import failure_sim
 from traincost.cluster_model import (
@@ -18,6 +21,7 @@ from traincost.failure_sim import (
     GENERATOR_NAME,
     RunParameters,
     SimConfig,
+    _pick_active_group,
     _replication_rng,
     _run_events,
     collect_replications,
@@ -103,7 +107,7 @@ class TestWorkerBound:
             def map(self, fn, *iterables, chunksize=1):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(failure_sim, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(failure_sim, "_available_cpus", lambda: cpus)
         config = reference_config(replications=4)
         assert collect_replications(config, workers) == collect_replications(config, 1)
@@ -113,6 +117,55 @@ class TestWorkerBound:
     def test_below_one_rejected(self, workers):
         with pytest.raises(ValueError, match="workers must be >= 1"):
             collect_replications(reference_config(replications=2), workers)
+
+    def test_numpy_imported_before_pool_forks(self, fresh_python):
+        # Forked workers inherit the parent's modules; without numpy there,
+        # each worker would import it again.
+        out = fresh_python(textwrap.dedent("""
+            import concurrent.futures, sys
+            from traincost import failure_sim
+            from traincost.cluster_model import ClusterSpec
+            from traincost.scaling_laws import ModelSpec
+
+            class PoolProbe:
+                # Reports whether numpy is loaded when the pool is built, then exits.
+                def __init__(self, max_workers):
+                    print("numpy" in sys.modules)
+                    sys.exit(0)
+
+            concurrent.futures.ProcessPoolExecutor = PoolProbe
+            failure_sim._available_cpus = lambda: 2
+            config = failure_sim.SimConfig(ModelSpec(1e12, 8), ClusterSpec(n_gpus=50_000), replications=2)
+            print("numpy" in sys.modules)
+            failure_sim.collect_replications(config, 2)
+        """))
+        assert out.split() == ["False", "True"]
+
+
+def _pick_by_scan(rng, down_ids, groups):
+    """The linear scan over all group ids that _pick_active_group replaced."""
+    k = int(rng.integers(groups - len(down_ids)))
+    idx = 0
+    for gid in range(groups):
+        if gid not in down_ids:
+            if idx == k:
+                return gid
+            idx += 1
+    raise AssertionError("no active group")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 512).flatmap(lambda groups: st.tuples(
+        st.just(groups), st.sets(st.integers(0, groups - 1), max_size=min(groups - 1, 8)))),
+    st.integers(0, 2**64 - 1),
+)
+def test_pick_matches_linear_scan(case, seed):
+    groups, down_ids = case
+    fast, slow = _replication_rng(seed, 0), _replication_rng(seed, 0)
+    assert _pick_active_group(fast, down_ids, groups) == _pick_by_scan(slow, down_ids, groups)
+    # Same next draw: the pick consumed exactly as much of the stream.
+    assert fast.integers(2**63) == slow.integers(2**63)
 
 
 class TestFailureFree:
