@@ -14,7 +14,14 @@ from .cluster_model import (
     sweep_system_size,
 )
 from .config import ConfigError, ConfigFile, load_config, parse_config, serialize
-from .failure_sim import SimConfig, SimResult, run_ensemble, simulate_run, validate_analytic
+from .failure_sim import (
+    SimConfig,
+    SimResult,
+    analytic_verdict,
+    run_ensemble,
+    simulate_run,
+    validate_analytic,
+)
 from .projection import (
     SCENARIOS,
     GrowthModel,
@@ -55,6 +62,7 @@ __all__ = [
     "SimResult",
     "SweepVariant",
     "YearRow",
+    "analytic_verdict",
     "dense_training_flops",
     "dollar_cost",
     "expected_runtime",

@@ -166,18 +166,13 @@ def cmd_cost(config: ConfigFile, params: float, experts: int) -> tuple[CsvTable,
     return table, summary
 
 
-def cmd_sweep(
-    config: ConfigFile,
-    gpus_list: list[int],
-    variants: list[SweepVariant] | None = None,
-) -> tuple[CsvTable, bool]:
-    """Time-to-train versus system size; returns (table, all_no_progress)."""
-    if variants is None:
-        variants = default_sweep_variants(config.resilience)
+def cmd_sweep(config: ConfigFile, gpus_list: list[int]) -> tuple[CsvTable, str, bool]:
+    """Time-to-train versus system size; returns (table, summary, all_no_progress)."""
     model = ModelSpec(config.growth.base_params, config.scenario.base_experts)
     flops = float(moe_training_flops(model, config.scaling))
     results = cluster_model.sweep_system_size(
-        model, config.scaling, config.cluster, variants, gpus_list
+        model, config.scaling, config.cluster,
+        default_sweep_variants(config.resilience), gpus_list,
     )
     rows = tuple(
         (
@@ -190,7 +185,22 @@ def cmd_sweep(
         )
         for n_gpus, name, run in results
     )
-    return CsvTable(SWEEP_COLUMNS, rows), not any(run.ok for _, _, run in results)
+    by_name: dict[str, list] = {}
+    for n_gpus, name, run in results:
+        by_name.setdefault(name, []).append((n_gpus, run))
+    lines = []
+    for name, cells in by_name.items():
+        finite = [(run.wall_h, n_gpus) for n_gpus, run in cells if run.ok]
+        stalled = [n_gpus for n_gpus, run in cells if not run.ok]
+        reading = []
+        if finite:
+            wall, n_gpus = min(finite)
+            reading.append(f"fastest at {n_gpus} GPUs ({wall:.0f} h wall-clock)")
+        if stalled:
+            reading.append(f"NoProgress from {stalled[0]} GPUs")
+        lines.append(f"{name}: {'; '.join(reading)}\n")
+    all_no_progress = not any(run.ok for _, _, run in results)
+    return CsvTable(SWEEP_COLUMNS, rows), "".join(lines), all_no_progress
 
 
 def cmd_project(
@@ -252,23 +262,14 @@ def cmd_simulate(
     )
     table = CsvTable(SIMULATE_COLUMNS, rows)
 
-    breakdown = cluster_model.expected_runtime(
-        sim_config.model, sim_config.constants, sim_config.cluster, sim_config.resilience
-    )
-    analytic = breakdown.wall_h if breakdown.ok else math.inf
-    rel = (
-        abs(analytic - result.mean_wall_h) / analytic
-        if math.isfinite(analytic) and math.isfinite(result.mean_wall_h)
-        else math.nan
-    )
-    passed = rel <= VALIDATION_TOLERANCE if math.isfinite(rel) else False
+    verdict = failure_sim.analytic_verdict(sim_config, result, VALIDATION_TOLERANCE)
     report = (
         f"replications: {replications} (seed {seed}, rng {result.generator})\n"
         f"simulated mean wall-clock: {result.mean_wall_h:.4g} h "
         f"(stddev {result.stddev_wall_h:.4g}, 95% half-width {result.ci95_half_width_h:.4g})\n"
-        f"analytic wall-clock: {analytic:.4g} h\n"
-        f"relative error: {rel:.4g} "
-        f"({'within' if passed else 'OUTSIDE'} {VALIDATION_TOLERANCE:.0%} tolerance)\n"
+        f"analytic wall-clock: {verdict.analytic_h:.4g} h\n"
+        f"relative error: {verdict.relative_error:.4g} "
+        f"({'within' if verdict.passed else 'OUTSIDE'} {VALIDATION_TOLERANCE:.0%} tolerance)\n"
         f"mean interrupts {result.mean_interrupts:.3g}, "
         f"mean checkpoints {result.mean_checkpoints:.3g}\n"
     )
@@ -288,7 +289,7 @@ def cmd_report(config: ConfigFile, seed: int, replications: int) -> str:
     )
 
     gpus_list = parse_range_spec(DEFAULT_GPUS_RANGE)
-    sweep_table, _ = cmd_sweep(config, gpus_list)
+    sweep_table, _, _ = cmd_sweep(config, gpus_list)
     sections.append("== time-to-train vs system size ==\n" + sweep_table.to_csv())
 
     years = parse_years_spec(DEFAULT_YEARS)
@@ -475,10 +476,11 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "sweep":
             gpus_list = parse_range_spec(args.gpus)
-            table, all_no_progress = cmd_sweep(config, gpus_list)
+            table, summary, all_no_progress = cmd_sweep(config, gpus_list)
             _write_output(table.to_csv(), args.out)
             if args.svg:
                 _write_svg(sweep_chart(table), args.out)
+            sys.stderr.write(summary)
             return 2 if all_no_progress else 0
 
         if args.command == "project":

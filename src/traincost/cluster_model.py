@@ -136,14 +136,14 @@ OPTIMIZED_CKPT_MEM_FRACTION = 0.5
 OPTIMIZED_GROUP_FAILURES = 5
 
 
-def optimized_variant(base: ResilienceConfig, name: str = "optimized") -> SweepVariant:
+def optimized_variant(base: ResilienceConfig) -> SweepVariant:
     """The optimized counterpart of a baseline resilience strategy."""
     res = replace(
         base,
         ckpt_mem_fraction=OPTIMIZED_CKPT_MEM_FRACTION,
         tolerated_group_failures=OPTIMIZED_GROUP_FAILURES,
     )
-    return SweepVariant(name, res, fs_bw_gbs=OPTIMIZED_FS_BW_GBS)
+    return SweepVariant("optimized", res, fs_bw_gbs=OPTIMIZED_FS_BW_GBS)
 
 
 def system_mtti(cluster: ClusterSpec) -> float:

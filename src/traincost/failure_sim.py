@@ -34,7 +34,7 @@ import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .cluster_model import ClusterSpec, ResilienceConfig, STATUS_NO_PROGRESS, expected_runtime
+from .cluster_model import ClusterSpec, ResilienceConfig, expected_runtime
 from .scaling_laws import ModelSpec, ScalingConstants
 from .tables import CsvTable
 
@@ -275,10 +275,6 @@ def trace_table(trace: list[tuple]) -> CsvTable:
     return CsvTable(TRACE_COLUMNS, tuple(trace))
 
 
-def _simulate_task(config: SimConfig, replication_index: int):
-    return simulate_run(config, replication_index)
-
-
 def _available_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):  # Linux: the CPUs this process may run on
         return len(os.sched_getaffinity(0))
@@ -308,7 +304,7 @@ def collect_replications(
     chunk = max(1, config.replications // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         configs = [config] * config.replications
-        return list(pool.map(_simulate_task, configs, indices, chunksize=chunk))
+        return list(pool.map(simulate_run, configs, indices, chunksize=chunk))
 
 
 def run_ensemble(config: SimConfig, workers: int = 1) -> SimResult:
@@ -339,31 +335,31 @@ def summarize(outcomes: list[tuple[float, EventCounts]]) -> SimResult:
     )
 
 
-def validate_analytic(
-    config: SimConfig, tolerance: float, workers: int = 1
+def analytic_verdict(
+    config: SimConfig, result: SimResult, tolerance: float
 ) -> ValidationReport:
-    """Compare the analytic expectation against a simulated ensemble mean.
+    """Judge a summarized ensemble against the closed form's expectation.
 
-    A NoProgress analytic verdict passes only if the simulated mean also
-    exceeds the configured horizon (config.max_wall_h).
+    A finite analytic wall-clock passes when the simulated mean is within
+    tolerance of it, relative to the analytic value. A NoProgress analytic
+    verdict has no relative error (nan); it passes only if the simulated
+    mean also exceeds the horizon config.max_wall_h, that is, only if some
+    replication was censored.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be > 0")
     breakdown = expected_runtime(
         config.model, config.constants, config.cluster, config.resilience
     )
-    result = run_ensemble(config, workers)
-    if breakdown.status == STATUS_NO_PROGRESS:
-        return ValidationReport(
-            analytic_h=math.inf,
-            simulated_mean_h=result.mean_wall_h,
-            relative_error=math.nan,
-            passed=result.mean_wall_h > config.max_wall_h,
-        )
-    rel = abs(breakdown.wall_h - result.mean_wall_h) / breakdown.wall_h
-    return ValidationReport(
-        analytic_h=breakdown.wall_h,
-        simulated_mean_h=result.mean_wall_h,
-        relative_error=rel,
-        passed=rel <= tolerance,
-    )
+    mean = result.mean_wall_h
+    if not breakdown.ok:
+        return ValidationReport(math.inf, mean, math.nan, mean > config.max_wall_h)
+    rel = abs(breakdown.wall_h - mean) / breakdown.wall_h
+    return ValidationReport(breakdown.wall_h, mean, rel, rel <= tolerance)
+
+
+def validate_analytic(
+    config: SimConfig, tolerance: float, workers: int = 1
+) -> ValidationReport:
+    """Simulate the ensemble and judge it with analytic_verdict."""
+    return analytic_verdict(config, run_ensemble(config, workers), tolerance)

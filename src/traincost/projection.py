@@ -227,36 +227,26 @@ def intersection_year(
     scenario: Scenario,
     rates: CostRates,
     market: MarketModel,
-    cost_scale: float = 1.0,
 ) -> Intersections:
     """Where the projected GPU cost first exceeds each market curve.
 
     Curves are evaluated on a yearly grid from the base year and crossings
     interpolated linearly in log space; None when there is no crossing in
-    range.  cost_scale uniformly scales the cost curve (sensitivity knob).
+    range.
     """
-    if cost_scale <= 0:
-        raise ValueError("cost_scale must be > 0")
     years = list(range(growth.base_year, growth.base_year + GRID_SPAN_YEARS + 1))
     rows = project_years(years, growth, scenario, rates, market)
-    costs = [row.gpu_cost_usd * cost_scale for row in rows]
+    costs = [row.gpu_cost_usd for row in rows]
     return Intersections(
         gpu_base_crossing=_first_crossing(years, costs, [r.gpu_base_usd for r in rows]),
         it_spend_crossing=_first_crossing(years, costs, [r.it_spend_usd for r in rows]),
     )
 
 
-def scenario_spread(
-    growth: GrowthModel,
-    rates: CostRates,
-    market: MarketModel,
-    scenarios: list[Scenario] | None = None,
-) -> float:
-    """Max pairwise gap, in years, between the scenarios' GPU-base crossings."""
-    if scenarios is None:
-        scenarios = list(SCENARIOS.values())
+def scenario_spread(growth: GrowthModel, rates: CostRates, market: MarketModel) -> float:
+    """Max pairwise gap, in years, between the preset scenarios' GPU-base crossings."""
     crossings = []
-    for scenario in scenarios:
+    for scenario in SCENARIOS.values():
         crossing = intersection_year(growth, scenario, rates, market).gpu_base_crossing
         if crossing is None:
             raise ValueError(f"scenario {scenario.name!r} never crosses the GPU base curve")

@@ -45,7 +45,3 @@ class CsvTable:
         lines = [",".join(self.header)]
         lines.extend(",".join(format_cell(cell) for cell in row) for row in self.rows)
         return "\n".join(lines) + "\n"
-
-    def column(self, name: str) -> list:
-        idx = self.header.index(name)
-        return [row[idx] for row in self.rows]

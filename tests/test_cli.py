@@ -1,13 +1,18 @@
+import hashlib
+import math
 import textwrap
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from traincost import failure_sim
 from traincost.cli import (
     MAX_RANGE_POINTS,
     MAX_YEARS_SPAN,
+    VALIDATION_TOLERANCE,
     CliError,
+    cmd_simulate,
     main,
     parse_range_spec,
     parse_years_spec,
@@ -142,10 +147,25 @@ class TestSweep:
     def test_all_no_progress_exit_code(self, capsys, tmp_path):
         cfg = tmp_path / "hopeless.yaml"
         cfg.write_text("cluster:\n  gpu_mtbf_h: 0.01\n")
-        code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg), "--gpus", "1024:2048:2:geometric")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg), "--gpus", "1024:2048:2:geometric")
         assert code == 2
         header, rows = parse_csv(out)
         assert all(r[header.index("status")] == "NoProgress" for r in rows)
+        assert err == (
+            "baseline: NoProgress from 1024 GPUs\n"
+            "optimized: NoProgress from 1024 GPUs\n"
+        )
+
+    def test_reading_names_stalls_and_fastest_point(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--gpus", "131072:262144:3:geometric")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "929a8f4e5a5cfb122e55c4d3464581a225294f02a0e890979b4c25f0fa76e991"
+        )
+        assert err == (
+            "baseline: NoProgress from 131072 GPUs\n"
+            "optimized: fastest at 262144 GPUs (1173 h wall-clock)\n"
+        )
 
 
 class TestProject:
@@ -210,6 +230,31 @@ class TestSimulate:
         assert code == 1
         assert out == ""
         assert "workers must be >= 1" in err
+
+
+class TestSimulateVerdict:
+    # Every replication censored: the analytic NoProgress verdict at 131,072
+    # GPUs passes, the finite one at 50,000 GPUs is infinitely far off.
+    @pytest.mark.parametrize("n_gpus, expected", [
+        (131_072, "nan (within"),
+        (50_000, "inf (OUTSIDE"),
+    ])
+    def test_cli_prints_the_library_verdict(self, monkeypatch, n_gpus, expected):
+        outcomes = [(math.inf, failure_sim.EventCounts())] * 3
+        seen = []
+
+        def censored(config, workers):  # starts no process
+            seen.append(config)
+            return outcomes
+
+        monkeypatch.setattr(failure_sim, "collect_replications", censored)
+        _, report = cmd_simulate(ConfigFile(), n_gpus, 0, 3)
+        verdict = failure_sim.analytic_verdict(
+            seen[0], failure_sim.summarize(outcomes), VALIDATION_TOLERANCE
+        )
+        word = "within" if verdict.passed else "OUTSIDE"
+        assert f"relative error: {verdict.relative_error:.4g} ({word} " in report
+        assert f"relative error: {expected} " in report
 
 
 class TestOutputsAndExitCodes:

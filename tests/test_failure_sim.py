@@ -20,10 +20,12 @@ from traincost.failure_sim import (
     EVENT_REPAIR,
     GENERATOR_NAME,
     RunParameters,
+    EventCounts,
     SimConfig,
     _pick_active_group,
     _replication_rng,
     _run_events,
+    analytic_verdict,
     collect_replications,
     derive_run_parameters,
     run_ensemble,
@@ -320,6 +322,19 @@ class TestValidation:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
             validate_analytic(reference_config(replications=1), tolerance=0.0)
+
+    @pytest.mark.parametrize("n_gpus, wall, relative_error, passed", [
+        (131_072, 5000.0, "nan", False),  # NoProgress, but the run finished
+        (131_072, math.inf, "nan", True),  # NoProgress and censored
+        (50_000, math.inf, "inf", False),  # finite closed form, censored run
+    ])
+    def test_verdict_rules(self, n_gpus, wall, relative_error, passed):
+        config = reference_config(cluster=ClusterSpec(n_gpus=n_gpus), replications=2)
+        result = summarize([(wall, EventCounts())] * 2)
+        verdict = analytic_verdict(config, result, tolerance=0.20)
+        assert verdict.passed is passed
+        assert f"{verdict.relative_error:.4g}" == relative_error
+        assert verdict.simulated_mean_h == wall
 
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 from mpmath import mp, mpf
 
+from traincost import projection
 from traincost.projection import (
     SCENARIOS,
     GrowthModel,
@@ -172,7 +174,9 @@ class TestIntersections:
 
     def test_scaling_cost_up_moves_crossings_earlier(self):
         base = intersection_year(GROWTH, BEST_GUESS, RATES, MARKET)
-        scaled = intersection_year(GROWTH, BEST_GUESS, RATES, MARKET, cost_scale=10.0)
+        # Ten times the price per GPU-hour scales the whole cost curve by ten.
+        pricier = replace(RATES, dollars_per_gpu_hour=RATES.dollars_per_gpu_hour * 10)
+        scaled = intersection_year(GROWTH, BEST_GUESS, pricier, MARKET)
         assert scaled.gpu_base_crossing < base.gpu_base_crossing
         assert scaled.it_spend_crossing < base.it_spend_crossing
 
@@ -196,10 +200,11 @@ class TestScenarioSpread:
     def test_default_spread_within_three_years(self):
         assert scenario_spread(GROWTH, RATES, MARKET) <= 3.0
 
-    def test_identical_scenarios_zero(self):
-        assert scenario_spread(GROWTH, RATES, MARKET, [BEST_GUESS, BEST_GUESS]) == 0.0
+    def test_identical_scenarios_zero(self, monkeypatch):
+        monkeypatch.setattr(projection, "SCENARIOS", {"a": BEST_GUESS, "b": BEST_GUESS})
+        assert scenario_spread(GROWTH, RATES, MARKET) == 0.0
 
-    def test_kappa_only_shift_matches_closed_form(self):
+    def test_kappa_only_shift_matches_closed_form(self, monkeypatch):
         # With expert counts frozen, a constant price curve and a flat
         # market, crossings shift by log(kappa ratio) / log(yearly compute
         # growth); kappa 120 vs 20 at 2.8x/1.91 growth gives ~0.911 years.
@@ -209,7 +214,8 @@ class TestScenarioSpread:
                          flop_per_param_with_tokens=120.0, base_experts=1)
         light = Scenario("custom", experts_per_year=0.0,
                          flop_per_param_with_tokens=20.0, base_experts=1)
-        spread = scenario_spread(growth, RATES, market, [heavy, light])
+        monkeypatch.setattr(projection, "SCENARIOS", {"heavy": heavy, "light": light})
+        spread = scenario_spread(growth, RATES, market)
         expected = float(mp.log(6) / (mpf("1.91") * mp.log(mpf("2.8"))))
         assert math.isclose(spread, expected, rel_tol=1e-9)
 
