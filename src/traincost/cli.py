@@ -454,12 +454,17 @@ def _write_output(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _write_svg(svg_text: str, out_path: str | None) -> None:
+def _chart_path(args) -> str | None:
+    """Where --svg writes its chart: --out with its extension replaced by .svg."""
+    if not args.svg:
+        return None
+    out_path = args.out
     if not out_path:
         raise CliError("--svg requires --out to derive the chart filename")
     stem = out_path.rsplit(".", 1)[0] if "." in out_path.rsplit("/", 1)[-1] else out_path
-    with open(stem + ".svg", "w", encoding="utf-8", newline="") as handle:
-        handle.write(svg_text)
+    if stem + ".svg" == out_path:
+        raise CliError(f"--svg would overwrite the CSV at --out {out_path!r}")
+    return stem + ".svg"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -475,21 +480,25 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "sweep":
+            chart_path = _chart_path(args)
             gpus_list = parse_range_spec(args.gpus)
             table, summary, all_no_progress = cmd_sweep(config, gpus_list)
             _write_output(table.to_csv(), args.out)
-            if args.svg:
-                _write_svg(sweep_chart(table), args.out)
+            if chart_path and all_no_progress:
+                summary += "no chart written: every cell is NoProgress\n"
+            elif chart_path:
+                _write_output(sweep_chart(table), chart_path)
             sys.stderr.write(summary)
             return 2 if all_no_progress else 0
 
         if args.command == "project":
+            chart_path = _chart_path(args)
             years = parse_years_spec(args.years)
             scenarios = _select_scenarios(config, args.scenario)
             table, summary = cmd_project(config, years, scenarios)
             _write_output(table.to_csv(), args.out)
-            if args.svg:
-                _write_svg(project_chart(table), args.out)
+            if chart_path:
+                _write_output(project_chart(table), chart_path)
             sys.stderr.write(summary)
             return 0
 

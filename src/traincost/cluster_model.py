@@ -30,6 +30,7 @@ from .scaling_laws import (
     CostRates,
     ModelSpec,
     ScalingConstants,
+    _fits_float,
     dollar_cost,
     moe_training_flops,
 )
@@ -53,8 +54,9 @@ class ClusterSpec:
 
     def __post_init__(self):
         for name in ("n_gpus", "gpus_per_cpu", "gpus_per_group"):
-            if not getattr(self, name) >= 1:
-                raise ValueError(f"{name} must be >= 1")
+            value = getattr(self, name)
+            if not (value >= 1 and _fits_float(value)):
+                raise ValueError(f"{name} must be >= 1 and fit a float")
         for name in ("gpu_mtbf_h", "cpu_mtbf_h", "gpu_mem_gb", "fs_bw_gbs"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
@@ -237,6 +239,8 @@ def runtime_from_solve(
     mtti = system_mtti(cluster)
     m_eff = effective_mtti(mtti, resilience.tolerated_group_failures)
     delta = checkpoint_write_time(cluster, resilience)
+    if not math.isfinite(delta):
+        raise ValueError("checkpoint write time is not finite")
     tau = optimal_checkpoint_interval(delta, m_eff, solve_h)
     ckpt_overhead = checkpoint_count(solve_h, tau) * delta
 

@@ -1,10 +1,12 @@
 """Discrete-event Monte Carlo simulation of a checkpointed training run.
 
-This is the independent oracle for the closed forms in cluster_model: the
-same run parameters (work target, checkpoint interval and write time,
-interrupt rate, group tolerance) are fed to an event loop with explicit
-failures, repairs, rollbacks and restarts, and ensemble means are compared
-against the analytic expectation.
+This is the independent oracle for the closed forms in cluster_model.
+SimConfig.run holds the closed form's RunBreakdown for the config's inputs,
+derived once when the config is built. The event loop reads its work
+target, checkpoint interval and write time, interrupt rate and group count
+(and the tolerance and repair time from the ResilienceConfig), plays out
+explicit failures, repairs, rollbacks and restarts, and ensemble means are
+compared against the same breakdown's expectation.
 
 Event semantics
 ---------------
@@ -34,7 +36,7 @@ import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .cluster_model import ClusterSpec, ResilienceConfig, expected_runtime
+from .cluster_model import ClusterSpec, ResilienceConfig, RunBreakdown, expected_runtime
 from .scaling_laws import ModelSpec, ScalingConstants
 from .tables import CsvTable
 
@@ -69,6 +71,9 @@ class SimConfig:
     seed: int = 0
     replications: int = 100
     max_wall_h: float = DEFAULT_MAX_WALL_H
+    # The closed form's quantities for the inputs above, read by the event
+    # loop and the verdict alike; derived here so that they cannot disagree.
+    run: RunBreakdown = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 <= self.seed < 2**64:
@@ -77,6 +82,8 @@ class SimConfig:
             raise ValueError("replications must be >= 1")
         if self.max_wall_h <= 0:
             raise ValueError("max_wall_h must be > 0")
+        run = expected_runtime(self.model, self.constants, self.cluster, self.resilience)
+        object.__setattr__(self, "run", run)
 
 
 @dataclass(frozen=True)
@@ -85,19 +92,6 @@ class EventCounts:
     repairs: int = 0
     checkpoints: int = 0
     interrupts: int = 0
-
-
-@dataclass(frozen=True)
-class RunParameters:
-    """Derived inputs shared by the simulator and the analytic model."""
-
-    work_h: float
-    tau_h: float
-    delta_h: float
-    mtti_h: float
-    groups: int
-    tolerated_failures: int
-    ttr_h: float
 
 
 @dataclass(frozen=True)
@@ -117,26 +111,6 @@ class ValidationReport:
     simulated_mean_h: float
     relative_error: float
     passed: bool
-
-
-def derive_run_parameters(config: SimConfig) -> RunParameters:
-    """Resolve a SimConfig into the bare quantities the event loop needs.
-
-    They are the analytic model's own run quantities; a non-finite work
-    target is rejected there, a non-finite checkpoint write time here.
-    """
-    run = expected_runtime(config.model, config.constants, config.cluster, config.resilience)
-    if not math.isfinite(run.delta_h):
-        raise ValueError("checkpoint write time is not finite")
-    return RunParameters(
-        work_h=run.solve_h,
-        tau_h=run.tau_h,
-        delta_h=run.delta_h,
-        mtti_h=run.mtti_h,
-        groups=run.groups,
-        tolerated_failures=config.resilience.tolerated_group_failures,
-        ttr_h=config.resilience.ttr_h,
-    )
 
 
 def _replication_rng(seed: int, replication_index: int) -> np.random.Generator:
@@ -160,14 +134,15 @@ def _pick_active_group(rng, down_ids: set, groups: int) -> int:
 
 
 def _run_events(
-    params: RunParameters,
+    run: RunBreakdown,
+    resilience: ResilienceConfig,
     rng: np.random.Generator,
     max_wall_h: float,
     trace: list | None = None,
 ) -> tuple[float, EventCounts]:
     """Run one replication; returns (wall_h, counts), wall_h=inf if censored."""
-    work, tau, delta = params.work_h, params.tau_h, params.delta_h
-    groups, tolerated, ttr = params.groups, params.tolerated_failures, params.ttr_h
+    work, tau, delta, mtti, groups = run.solve_h, run.tau_h, run.delta_h, run.mtti_h, run.groups
+    tolerated, ttr = resilience.tolerated_group_failures, resilience.ttr_h
 
     emit = trace.append if trace is not None else None
     t = 0.0
@@ -177,8 +152,6 @@ def _run_events(
     down_ids: set[int] = set()
     writing_until: float | None = None
     failures = repairs = checkpoints = interrupts = 0
-
-    mtti = params.mtti_h
 
     def next_failure(after: float) -> float:
         return after + rng.exponential(mtti) if math.isfinite(mtti) else math.inf
@@ -265,9 +238,8 @@ def simulate_run(
     """
     if not 0 <= replication_index < 2**64:
         raise ValueError("replication_index must be a 64-bit unsigned integer")
-    params = derive_run_parameters(config)
     rng = _replication_rng(config.seed, replication_index)
-    return _run_events(params, rng, config.max_wall_h, trace)
+    return _run_events(config.run, config.resilience, rng, config.max_wall_h, trace)
 
 
 def trace_table(trace: list[tuple]) -> CsvTable:
@@ -348,14 +320,11 @@ def analytic_verdict(
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be > 0")
-    breakdown = expected_runtime(
-        config.model, config.constants, config.cluster, config.resilience
-    )
-    mean = result.mean_wall_h
-    if not breakdown.ok:
+    run, mean = config.run, result.mean_wall_h
+    if not run.ok:
         return ValidationReport(math.inf, mean, math.nan, mean > config.max_wall_h)
-    rel = abs(breakdown.wall_h - mean) / breakdown.wall_h
-    return ValidationReport(breakdown.wall_h, mean, rel, rel <= tolerance)
+    rel = abs(run.wall_h - mean) / run.wall_h
+    return ValidationReport(run.wall_h, mean, rel, rel <= tolerance)
 
 
 def validate_analytic(

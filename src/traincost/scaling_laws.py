@@ -15,6 +15,14 @@ from dataclasses import dataclass
 HOURS_TO_SECONDS = 3600.0
 
 
+def _fits_float(value) -> bool:
+    """Whether value is a finite float, or an int small enough to become one."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class ScalingConstants:
     """Empirical constants of the training-compute law."""
@@ -41,8 +49,9 @@ class ModelSpec:
     def __post_init__(self):
         if not 0 < self.params < math.inf:
             raise ValueError("params must be finite and > 0")
-        if self.experts < 1 or self.experts != int(self.experts):
-            raise ValueError("experts must be an integer >= 1")
+        if not (self.experts >= 1 and _fits_float(self.experts)
+                and self.experts == int(self.experts)):
+            raise ValueError("experts must be an integer >= 1 that fits a float")
 
 
 @dataclass(frozen=True)

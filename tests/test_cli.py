@@ -17,7 +17,7 @@ from traincost.cli import (
     parse_range_spec,
     parse_years_spec,
 )
-from traincost.cluster_model import solve_hours
+from traincost.cluster_model import expected_runtime, solve_hours
 from traincost.config import ConfigFile, parse_config, serialize
 from traincost.scaling_laws import ModelSpec
 
@@ -156,6 +156,15 @@ class TestSweep:
             "optimized: NoProgress from 1024 GPUs\n"
         )
 
+    @pytest.mark.parametrize("growth", ["growth:\n  base_params: 1e9\n", ""])
+    def test_unbounded_checkpoint_write_is_config_error(self, capsys, tmp_path, growth):
+        cfg = tmp_path / "huge_memory.yaml"
+        cfg.write_text("cluster:\n  gpu_mem_gb: 1e308\n" + growth)
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg), "--gpus", "1024")
+        assert code == 1
+        assert out == ""
+        assert err == "error: checkpoint write time is not finite\n"
+
     def test_reading_names_stalls_and_fastest_point(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--gpus", "131072:262144:3:geometric")
         assert code == 0
@@ -231,6 +240,19 @@ class TestSimulate:
         assert out == ""
         assert "workers must be >= 1" in err
 
+    @pytest.mark.parametrize("reps", [1, 50])
+    def test_closed_form_derived_once_per_request(self, monkeypatch, reps):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return expected_runtime(*args)
+
+        monkeypatch.setattr(failure_sim, "expected_runtime", counted)
+        table, _ = cmd_simulate(ConfigFile(), 50_000, 0, reps, workers=1)
+        assert len(table.rows) == reps
+        assert len(calls) == 1
+
 
 class TestSimulateVerdict:
     # Every replication censored: the analytic NoProgress verdict at 131,072
@@ -255,6 +277,19 @@ class TestSimulateVerdict:
         word = "within" if verdict.passed else "OUTSIDE"
         assert f"relative error: {verdict.relative_error:.4g} ({word} " in report
         assert f"relative error: {expected} " in report
+
+
+class TestHugeCounts:
+    @pytest.mark.parametrize("args, field", [
+        (["sweep", "--gpus", "1" + "0" * 400], "n_gpus"),
+        (["simulate", "--gpus", "1" + "0" * 400], "n_gpus"),
+        (["cost", "1e12", "1" + "0" * 400], "experts"),
+    ])
+    def test_count_past_float_range_is_config_error(self, capsys, args, field):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {field} must be")
 
 
 class TestOutputsAndExitCodes:
@@ -312,6 +347,30 @@ class TestSvg:
         code, _, err = run_cli(capsys, "sweep", "--gpus", "1024", "--svg")
         assert code == 1
         assert "--out" in err
+
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--gpus", "1024:4096:3:geometric"], ["project", "--years", "2023:2025"],
+    ])
+    def test_svg_never_overwrites_the_csv(self, capsys, tmp_path, command):
+        out_path = tmp_path / "chart.svg"
+        code, out, err = run_cli(capsys, *command, "--out", str(out_path), "--svg")
+        assert code == 1
+        assert "would overwrite" in err
+        assert out == ""
+        assert not out_path.exists()
+
+    def test_all_no_progress_skips_the_chart(self, capsys, tmp_path):
+        cfg = tmp_path / "hopeless.yaml"
+        cfg.write_text("cluster:\n  gpu_mtbf_h: 0.01\n")
+        out_path = tmp_path / "np.csv"
+        code, _, err = run_cli(
+            capsys, "sweep", "--config", str(cfg), "--gpus", "1024:2048:2:geometric",
+            "--out", str(out_path), "--svg",
+        )
+        assert code == 2
+        assert out_path.read_text().startswith("n_gpus,")
+        assert not (tmp_path / "np.svg").exists()
+        assert "no chart written: every cell is NoProgress" in err
 
 
 class TestReport:

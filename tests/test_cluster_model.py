@@ -326,6 +326,7 @@ def test_solve_hours_matches_manual_chain():
         {"n_gpus": 100, "gpu_mtbf_h": math.nan},
         {"n_gpus": 100, "cpu_mtbf_h": math.nan},
         {"n_gpus": 100, "fs_bw_gbs": math.nan},
+        {"n_gpus": 10**400},
     ],
 )
 def test_invalid_cluster_rejected(kwargs):

@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+import pickle
 import textwrap
 from dataclasses import replace
 
@@ -19,7 +20,6 @@ from traincost.failure_sim import (
     EVENT_FAIL,
     EVENT_REPAIR,
     GENERATOR_NAME,
-    RunParameters,
     EventCounts,
     SimConfig,
     _pick_active_group,
@@ -27,7 +27,6 @@ from traincost.failure_sim import (
     _run_events,
     analytic_verdict,
     collect_replications,
-    derive_run_parameters,
     run_ensemble,
     simulate_run,
     summarize,
@@ -183,11 +182,11 @@ class TestFailureFree:
     def test_checkpoint_accounting_exact(self):
         # Explicit interval smaller than the work target: wall is exactly
         # W + n_ckpt * delta with n_ckpt = ceil(W/tau) - 1.
-        params = RunParameters(
-            work_h=100.0, tau_h=9.0, delta_h=0.5, mtti_h=math.inf,
-            groups=10, tolerated_failures=0, ttr_h=2.0,
+        run = replace(
+            reference_config(replications=1).run,
+            solve_h=100.0, tau_h=9.0, delta_h=0.5, mtti_h=math.inf, groups=10,
         )
-        wall, counts = _run_events(params, _replication_rng(0, 0), 1e9)
+        wall, counts = _run_events(run, BASELINE, _replication_rng(0, 0), 1e9)
         assert wall == 100.0 + 11 * 0.5
         assert counts.checkpoints == 11
 
@@ -341,11 +340,32 @@ class TestValidation:
             SimConfig(model=reference_model(), cluster=CLUSTER_50K, replications=0)
         with pytest.raises(ValueError):
             SimConfig(model=reference_model(), cluster=CLUSTER_50K, seed=-1)
+        # A checkpoint write time that overflows is rejected by the closed
+        # form the config derives, before any replication runs.
+        with pytest.raises(ValueError, match="checkpoint write time is not finite"):
+            SimConfig(model=reference_model(), cluster=replace(CLUSTER_50K, gpu_mem_gb=1e308))
 
     def test_derive_parameters_match_cluster_model(self):
         config = reference_config()
-        params = derive_run_parameters(config)
-        assert params.work_h == solve_hours(config.model, CONSTANTS, CLUSTER_50K, BASELINE)
-        assert params.groups == 97
-        assert params.tolerated_failures == 0
-        assert math.isclose(params.tau_h, 8.538, rel_tol=1e-3)
+        run = config.run
+        assert run == expected_runtime(config.model, CONSTANTS, CLUSTER_50K, BASELINE)
+        assert run.solve_h == solve_hours(config.model, CONSTANTS, CLUSTER_50K, BASELINE)
+        assert run.groups == 97
+        assert config.resilience.tolerated_group_failures == 0
+        assert math.isclose(run.tau_h, 8.538, rel_tol=1e-3)
+
+    def test_run_is_derived_not_passed(self):
+        with pytest.raises(TypeError):
+            SimConfig(model=reference_model(), cluster=CLUSTER_50K, run=reference_config().run)
+
+    def test_pickle_keeps_run_without_deriving_again(self, monkeypatch):
+        # Pool workers receive the config pickled; they must not redo the derivation.
+        config = reference_config(replications=1)
+
+        def forbidden(*args):
+            raise AssertionError("expected_runtime called while unpickling")
+
+        monkeypatch.setattr(failure_sim, "expected_runtime", forbidden)
+        clone = pickle.loads(pickle.dumps(config))
+        assert clone == config
+        assert clone.run == config.run

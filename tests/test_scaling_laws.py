@@ -179,7 +179,10 @@ def test_invalid_constants_rejected(kwargs):
 
 @pytest.mark.parametrize(
     "params,experts",
-    [(0.0, 1), (-1e12, 1), (1e12, 0), (1e12, 2.5), (math.nan, 1), (math.inf, 1)],
+    [
+        (0.0, 1), (-1e12, 1), (1e12, 0), (1e12, 2.5), (math.nan, 1), (math.inf, 1),
+        (1e12, math.nan), (1e12, math.inf), pytest.param(1e12, 10**400, id="1e12-10**400"),
+    ],
 )
 def test_invalid_model_rejected(params, experts):
     with pytest.raises(ValueError):
