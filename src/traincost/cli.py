@@ -34,9 +34,10 @@ DEFAULT_YEARS = "2023:2035"
 DEFAULT_SEED = 0
 DEFAULT_REPS = 100
 VALIDATION_TOLERANCE = 0.20
-# Request-size caps: every range or years spec does bounded work.
+# Request-size caps: a larger range spec, years spec or --reps exits 1.
 MAX_RANGE_POINTS = 100_000
 MAX_YEARS_SPAN = 1_000
+MAX_REPLICATIONS = 100_000
 
 SWEEP_COLUMNS = (
     "n_gpus", "config", "params", "experts", "flops", "mtti_h", "mtti_eff_h",
@@ -245,6 +246,8 @@ def cmd_simulate(
     workers: int = 1,
 ) -> tuple[CsvTable, str]:
     """Monte Carlo replications plus a validation report against the closed form."""
+    if replications > MAX_REPLICATIONS:
+        raise CliError(f"--reps asks for more than {MAX_REPLICATIONS} replications")
     sim_config = failure_sim.SimConfig(
         model=ModelSpec(config.growth.base_params, config.scenario.base_experts),
         cluster=replace(config.cluster, n_gpus=n_gpus),

@@ -11,7 +11,13 @@ compared against the same breakdown's expectation.
 Event semantics
 ---------------
 * Failures arrive as a Poisson process with rate 1/MTTI and each disables
-  a uniformly chosen active group for ttr_h (its repair time).
+  the lowest-numbered active group for ttr_h (its repair time). This is
+  exact, not an approximation: groups are symmetric (the same share of
+  progress, the same repair time), so a run depends only on how many groups
+  are down and when each comes back. Which group fails changes the trace's
+  group ids and nothing else, so the random stream holds only the gaps
+  between failures. Every repair takes ttr_h, so repairs finish in the
+  order their failures happened.
 * Progress accrues at rate active_groups/G while the job is not writing a
   checkpoint; a checkpoint of duration delta starts after every tau hours
   of accumulated progress (progress-keyed, so degraded stretches do not
@@ -30,9 +36,10 @@ Philox stream keyed (s, r), so the n-th draw is a pure function of
 
 from __future__ import annotations
 
-import heapq
+import itertools
 import math
 import os
+from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -43,10 +50,10 @@ from .tables import CsvTable
 if TYPE_CHECKING:
     import numpy as np
 
-# tests/test_golden.py pins the sha256 of simulate and report output, which
-# depends on this numpy Philox stream: a change to the stream must bump
-# this tag and those hashes together.
-GENERATOR_NAME = "philox4x64"
+# tests/test_golden.py pins this tag and the sha256 of simulate and report
+# output, which depends on this numpy Philox stream (exponential draws
+# only): a change to the stream must bump this tag and those hashes together.
+GENERATOR_NAME = "philox4x64-exp"
 
 TRACE_COLUMNS = ("time_h", "kind", "group_id")
 
@@ -80,7 +87,7 @@ class SimConfig:
             raise ValueError("seed must be a 64-bit unsigned integer")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        if self.max_wall_h <= 0:
+        if not self.max_wall_h > 0:
             raise ValueError("max_wall_h must be > 0")
         run = expected_runtime(self.model, self.constants, self.cluster, self.resilience)
         object.__setattr__(self, "run", run)
@@ -122,17 +129,6 @@ def _replication_rng(seed: int, replication_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _pick_active_group(rng, down_ids: set, groups: int) -> int:
-    # k-th group id not currently down: k steps past every down id at or
-    # below it. At most F groups are down at a pick: O(F log F), not O(G).
-    k = int(rng.integers(groups - len(down_ids)))
-    for gid in sorted(down_ids):
-        if gid > k:
-            break
-        k += 1
-    return k
-
-
 def _run_events(
     run: RunBreakdown,
     resilience: ResilienceConfig,
@@ -148,7 +144,7 @@ def _run_events(
     t = 0.0
     progress = 0.0
     ckpt_progress = 0.0
-    repair_heap: list[tuple[float, int]] = []
+    repairs_due: deque[tuple[float, int]] = deque()  # (repair time, group id)
     down_ids: set[int] = set()
     writing_until: float | None = None
     failures = repairs = checkpoints = interrupts = 0
@@ -169,7 +165,7 @@ def _run_events(
             t_work = t + (target - progress) / rate
         else:
             t_work = math.inf  # all groups down, waiting on repairs
-        t_repair = repair_heap[0][0] if repair_heap else math.inf
+        t_repair = repairs_due[0][0] if repairs_due else math.inf
         t_next = min(next_fail, t_repair, t_work)
 
         if t_next > max_wall_h:
@@ -183,7 +179,7 @@ def _run_events(
         # Tie-break order: repairs, then work/checkpoint completion, then
         # failures; simultaneous events have probability zero anyway.
         if t_repair <= next_fail and t_repair <= t_work:
-            _, gid = heapq.heappop(repair_heap)
+            _, gid = repairs_due.popleft()
             down_ids.discard(gid)
             repairs += 1
             if emit:
@@ -209,8 +205,11 @@ def _run_events(
             failures += 1
             victim = None
             if active > 0:
-                victim = _pick_active_group(rng, down_ids, groups)
-                heapq.heappush(repair_heap, (t + ttr, victim))
+                # At most F groups are down here: O(F), not O(G).
+                victim = 0
+                while victim in down_ids:
+                    victim += 1
+                repairs_due.append((t + ttr, victim))
                 down_ids.add(victim)
             if emit:
                 emit((t, EVENT_FAIL, victim))
@@ -221,7 +220,7 @@ def _run_events(
                 progress = ckpt_progress
                 writing_until = None
                 t += ttr
-                repair_heap.clear()
+                repairs_due.clear()
                 down_ids.clear()
                 if emit:
                     emit((t, EVENT_RESTART, None))
@@ -275,7 +274,7 @@ def collect_replications(
 
     chunk = max(1, config.replications // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        configs = [config] * config.replications
+        configs = itertools.repeat(config)
         return list(pool.map(simulate_run, configs, indices, chunksize=chunk))
 
 

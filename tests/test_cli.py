@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from traincost import failure_sim
 from traincost.cli import (
     MAX_RANGE_POINTS,
+    MAX_REPLICATIONS,
     MAX_YEARS_SPAN,
     VALIDATION_TOLERANCE,
     CliError,
@@ -239,6 +240,31 @@ class TestSimulate:
         assert code == 1
         assert out == ""
         assert "workers must be >= 1" in err
+
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--reps", str(MAX_REPLICATIONS + 1)],
+        ["simulate", "--reps", str(10**30), "--workers", "2"],
+        ["report", "--reps", str(MAX_REPLICATIONS + 1)],
+        ["report", "--reps", str(10**30)],
+    ])
+    def test_reps_cap(self, capsys, monkeypatch, args):
+        def unbounded(*args):
+            raise AssertionError("replications started past the cap")
+
+        monkeypatch.setattr(failure_sim, "collect_replications", unbounded)
+        code, out, err = run_cli(capsys, *args)
+        assert code == 1
+        assert out == ""
+        assert f"more than {MAX_REPLICATIONS} replications" in err
+
+    def test_reps_at_cap_accepted(self, capsys, monkeypatch):
+        def instant(config, workers):
+            return [(1.0, failure_sim.EventCounts())] * config.replications
+
+        monkeypatch.setattr(failure_sim, "collect_replications", instant)
+        code, out, _ = run_cli(capsys, "simulate", "--reps", str(MAX_REPLICATIONS))
+        assert code == 0
+        assert len(out.splitlines()) == MAX_REPLICATIONS + 1
 
     @pytest.mark.parametrize("reps", [1, 50])
     def test_closed_form_derived_once_per_request(self, monkeypatch, reps):

@@ -1,28 +1,31 @@
 import concurrent.futures
+import hashlib
 import math
 import pickle
 import textwrap
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from traincost import failure_sim
+from traincost.cli import DEFAULT_SIM_GPUS, main
 from traincost.cluster_model import (
     ClusterSpec,
     ResilienceConfig,
     expected_runtime,
+    group_count,
     parallel_efficiency,
     solve_hours,
 )
+from traincost.config import ConfigFile
 from traincost.failure_sim import (
     EVENT_DONE,
     EVENT_FAIL,
     EVENT_REPAIR,
+    EVENT_RESTART,
     GENERATOR_NAME,
     EventCounts,
     SimConfig,
-    _pick_active_group,
     _replication_rng,
     _run_events,
     analytic_verdict,
@@ -143,30 +146,44 @@ class TestWorkerBound:
         assert out.split() == ["False", "True"]
 
 
-def _pick_by_scan(rng, down_ids, groups):
-    """The linear scan over all group ids that _pick_active_group replaced."""
-    k = int(rng.integers(groups - len(down_ids)))
-    idx = 0
-    for gid in range(groups):
-        if gid not in down_ids:
-            if idx == k:
-                return gid
-            idx += 1
-    raise AssertionError("no active group")
+class ExponentialOnly:
+    """A generator that offers exponential draws and nothing else."""
+
+    def __init__(self, rng):
+        self.exponential = rng.exponential
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    st.integers(1, 512).flatmap(lambda groups: st.tuples(
-        st.just(groups), st.sets(st.integers(0, groups - 1), max_size=min(groups - 1, 8)))),
-    st.integers(0, 2**64 - 1),
-)
-def test_pick_matches_linear_scan(case, seed):
-    groups, down_ids = case
-    fast, slow = _replication_rng(seed, 0), _replication_rng(seed, 0)
-    assert _pick_active_group(fast, down_ids, groups) == _pick_by_scan(slow, down_ids, groups)
-    # Same next draw: the pick consumed exactly as much of the stream.
-    assert fast.integers(2**63) == slow.integers(2**63)
+class FormerStream:
+    """The stream as drawn when each failure picked its group at random.
+
+    Each failure that found a group up drew rng.integers(groups - down)
+    before the next failure gap. At F=0 every failure finds all groups up,
+    so that was integers(groups) before every exponential but the first.
+    """
+
+    def __init__(self, rng, groups):
+        self._rng, self._groups, self._first = rng, groups, True
+
+    def exponential(self, scale):
+        if not self._first:
+            self._rng.integers(self._groups)
+        self._first = False
+        return self._rng.exponential(scale)
+
+
+def test_victim_rule_only_relabels_groups(monkeypatch, capsys):
+    # Fed the former stream, simulate reproduces the stdout pinned under the
+    # former "philox4x64" tag bit for bit: taking the lowest free group
+    # changes which ids the trace names and nothing else.
+    config = ConfigFile()
+    groups = group_count(replace(config.cluster, n_gpus=DEFAULT_SIM_GPUS), config.resilience)
+    real = failure_sim._replication_rng
+    monkeypatch.setattr(
+        failure_sim, "_replication_rng", lambda seed, index: FormerStream(real(seed, index), groups)
+    )
+    assert main(["simulate", "--seed", "42", "--reps", "40"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == "c5c3df0c6d1b7b6324b29a4dc59abb533af584f998c0180785feeb34c3ba0f0e"
 
 
 class TestFailureFree:
@@ -299,6 +316,34 @@ class TestTrace:
         groups = [g for _, k, g in trace if k in (EVENT_FAIL, EVENT_REPAIR)]
         assert groups, "expected failures in a 50k-GPU run"
         assert all(g is None or 0 <= g < 97 for g in groups)
+        assert any(g for g in groups), "expected a failure while another group was down"
+        # Replayed in order: a failure takes the lowest id not down, and
+        # repairs come back in the order their groups failed.
+        down = []
+        for _, kind, gid in trace:
+            if kind == EVENT_FAIL and gid is not None:
+                assert gid == min(set(range(97)).difference(down))
+                down.append(gid)
+            elif kind == EVENT_REPAIR:
+                assert gid == down.pop(0)
+            elif kind == EVENT_RESTART:
+                down.clear()
+
+    @pytest.mark.parametrize("groups", [3, 8])
+    def test_stream_holds_only_exponentials(self, groups):
+        # F=5 and a 24 h repair: with 3 groups every group is down at times,
+        # and with 8 groups six down at once interrupt the run.
+        run = replace(reference_config().run, solve_h=500.0, mtti_h=8.0, groups=groups)
+        resilience = replace(OPT_RESILIENCE, ttr_h=24.0)
+        trace = []
+        wall, counts = _run_events(
+            run, resilience, ExponentialOnly(_replication_rng(0, 0)), 1e7, trace
+        )
+        assert math.isfinite(wall)
+        if groups <= resilience.tolerated_group_failures:
+            assert (EVENT_FAIL, None) in [(k, g) for _, k, g in trace]
+        else:
+            assert counts.interrupts > 0
 
     def test_censoring_returns_inf(self):
         config = reference_config(replications=1, max_wall_h=10.0)
@@ -340,6 +385,9 @@ class TestValidation:
             SimConfig(model=reference_model(), cluster=CLUSTER_50K, replications=0)
         with pytest.raises(ValueError):
             SimConfig(model=reference_model(), cluster=CLUSTER_50K, seed=-1)
+        # A NaN horizon would never censor a run.
+        with pytest.raises(ValueError, match="max_wall_h"):
+            SimConfig(model=reference_model(), cluster=CLUSTER_50K, max_wall_h=math.nan)
         # A checkpoint write time that overflows is rejected by the closed
         # form the config derives, before any replication runs.
         with pytest.raises(ValueError, match="checkpoint write time is not finite"):
