@@ -3,7 +3,8 @@
 Each case hashes the stdout of one CLI command. A mismatch means the
 output bytes changed; a change that means to alter them must say why and
 update the hash. The simulate and report hashes also pin the numpy
-Philox stream tagged by failure_sim.GENERATOR_NAME.
+Philox stream tagged by failure_sim.GENERATOR_NAME; the tag they were
+taken under is pinned here too, so a stream change shows in this file.
 
 The every-key config sets each config key to a non-default value, so a
 key mapped onto the wrong field changes a hash.
@@ -13,6 +14,7 @@ import hashlib
 
 import pytest
 
+from traincost import failure_sim
 from traincost.cli import main
 from traincost.config import parse_config
 
@@ -61,16 +63,16 @@ DEFAULT_PINS = [
     (["project", "--scenario", "best_case,best_guess,worst_case"],
      "06216cb3175d68857e0b7cdf8eb5c623006d2e730dff787631f11474bc439a57"),
     (["simulate", "--seed", "42", "--reps", "40"],
-     "c5c3df0c6d1b7b6324b29a4dc59abb533af584f998c0180785feeb34c3ba0f0e"),
+     "6406fe8374042bac757a5e537cf3545202a0428e9f9449e00f909f15692f718e"),
     (["report", "--reps", "40"],
-     "8d53106139344c91e2d31f8e1849f38d5d74033995f123318b3c01913f73c734"),
+     "120faf5967279c75c35207847f3def5fbd578a354fb00aec3d4330f5e7910a5c"),
 ]
 
 EVERY_KEY_PINS = [
     (["sweep"],
      "f714b0d6a423b64cf5cd8203c7d23d061622e126f7d1ec52d2a06346e0b0b014"),
     (["report", "--reps", "40"],
-     "8e89116e8870c863e60a3d4fcad81d8d105426bc3ae748de432a3c258543183a"),
+     "fb0dbba25101f8796b4171286397197e66cce05e9b490b401e4aeb6a659a77bf"),
     (["project", "--scenario", "custom"],
      "0fe5a4b3688f5736012f3344625f378ed306786bf70a241da7d0f3125b526acb"),
 ]
@@ -95,3 +97,7 @@ def test_every_key_output_pinned(capsys, tmp_path, args, digest):
 
 def test_every_key_config_sets_every_key():
     assert parse_config(EVERY_KEY_CONFIG).defaulted == ()
+
+
+def test_hashes_taken_under_generator_tag():
+    assert failure_sim.GENERATOR_NAME == "philox4x64-exp"
