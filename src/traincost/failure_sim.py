@@ -11,13 +11,11 @@ compared against the same breakdown's expectation.
 Event semantics
 ---------------
 * Failures arrive as a Poisson process with rate 1/MTTI and each disables
-  the lowest-numbered active group for ttr_h (its repair time). This is
-  exact, not an approximation: groups are symmetric (the same share of
-  progress, the same repair time), so a run depends only on how many groups
-  are down and when each comes back. Which group fails changes the trace's
-  group ids and nothing else, so the random stream holds only the gaps
-  between failures. Every repair takes ttr_h, so repairs finish in the
-  order their failures happened.
+  the lowest-numbered active group for ttr_h (its repair time). That is
+  exact: groups are symmetric (same share of progress, same repair time),
+  so the choice changes only the trace's group ids, and the random stream
+  holds only the gaps between failures. Every repair takes ttr_h, so
+  repairs finish in the order their failures happened.
 * Progress accrues at rate active_groups/G while the job is not writing a
   checkpoint; a checkpoint of duration delta starts after every tau hours
   of accumulated progress (progress-keyed, so degraded stretches do not
