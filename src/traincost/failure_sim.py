@@ -27,9 +27,11 @@ Event semantics
   process is memoryless, so it is redrawn afterwards).
 * The run ends when progress reaches the work target W.
 
-Randomness is counter-based: replication r of a run seeded s draws from a
-Philox stream keyed (s, r), so the n-th draw is a pure function of
-(s, r, n) and results do not depend on scheduling or evaluation order.
+Randomness is counter-based (Salmon et al., "Parallel random numbers: as
+easy as 1, 2, 3", SC'11): replication r of a run seeded s reads its
+failure gaps from shake_256 of the key (s, r, block), so the n-th draw is
+a pure function of (s, r, n) and results do not depend on scheduling or
+evaluation order. The standard library supplies it.
 """
 
 from __future__ import annotations
@@ -37,21 +39,25 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import struct
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from .cluster_model import ClusterSpec, ResilienceConfig, RunBreakdown, expected_runtime
 from .scaling_laws import ModelSpec, ScalingConstants
 from .tables import CsvTable
 
-if TYPE_CHECKING:
-    import numpy as np
-
 # tests/test_golden.py pins this tag and the sha256 of simulate and report
-# output, which depends on this numpy Philox stream (exponential draws
-# only): a change to the stream must bump this tag and those hashes together.
-GENERATOR_NAME = "philox4x64-exp"
+# output, which depends on the gap stream of _replication_gaps: a change to
+# the stream must bump this tag and those hashes together.
+GENERATOR_NAME = "shake256-exp"
+
+# 64-bit words per hashed block of failure gaps. Part of the stream: another
+# size changes every draw past the first block. 256 covers a degraded-mode
+# replication (~250 failures) with one block; on interrupt-bound runs
+# (~4,000 failures) it timed within noise of 512 and 1,024 per draw.
+BLOCK = 256
 
 TRACE_COLUMNS = ("time_h", "kind", "group_id")
 
@@ -118,23 +124,38 @@ class ValidationReport:
     passed: bool
 
 
-def _replication_rng(seed: int, replication_index: int) -> np.random.Generator:
-    # numpy is imported here, not at module level, so that requests which
-    # never simulate (cost, sweep, project) do not pay for it.
-    import numpy as np
+def _replication_gaps(seed: int, replication_index: int) -> Iterator[float]:
+    """Standard-exponential gaps for one replication, by inversion.
 
-    key = np.array([seed, replication_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    Block b is shake_256 of the little-endian words (seed, replication_index,
+    b), read as BLOCK little-endian 64-bit words. A word w gives
+    -log(1 - u) with u = (w >> 11) * 2**-53 in [0, 1), so the logarithm's
+    argument is never 0 and every step is exact up to the log.
+    """
+    # hashlib is imported here, not at module level: it loads OpenSSL, which
+    # requests that never simulate (cost, sweep, project) should not pay for.
+    import hashlib
+
+    words = struct.Struct(f"<{BLOCK}Q").unpack
+    for block in itertools.count():
+        key = struct.pack("<QQQ", seed, replication_index, block)
+        for word in words(hashlib.shake_256(key).digest(8 * BLOCK)):
+            yield -math.log(1.0 - (word >> 11) * 2.0**-53)
 
 
 def _run_events(
     run: RunBreakdown,
     resilience: ResilienceConfig,
-    rng: np.random.Generator,
+    gaps: Iterator[float],
     max_wall_h: float,
     trace: list | None = None,
 ) -> tuple[float, EventCounts]:
-    """Run one replication; returns (wall_h, counts), wall_h=inf if censored."""
+    """Run one replication; returns (wall_h, counts), wall_h=inf if censored.
+
+    Failure gaps are read from gaps (standard exponential, scaled by the
+    MTTI): one for the first failure and one after each failure, none when
+    the MTTI is infinite.
+    """
     work, tau, delta, mtti, groups = run.solve_h, run.tau_h, run.delta_h, run.mtti_h, run.groups
     tolerated, ttr = resilience.tolerated_group_failures, resilience.ttr_h
 
@@ -148,7 +169,7 @@ def _run_events(
     failures = repairs = checkpoints = interrupts = 0
 
     def next_failure(after: float) -> float:
-        return after + rng.exponential(mtti) if math.isfinite(mtti) else math.inf
+        return after + mtti * next(gaps) if math.isfinite(mtti) else math.inf
 
     next_fail = next_failure(t)
 
@@ -235,8 +256,8 @@ def simulate_run(
     """
     if not 0 <= replication_index < 2**64:
         raise ValueError("replication_index must be a 64-bit unsigned integer")
-    rng = _replication_rng(config.seed, replication_index)
-    return _run_events(config.run, config.resilience, rng, config.max_wall_h, trace)
+    gaps = _replication_gaps(config.seed, replication_index)
+    return _run_events(config.run, config.resilience, gaps, config.max_wall_h, trace)
 
 
 def trace_table(trace: list[tuple]) -> CsvTable:
@@ -265,9 +286,6 @@ def collect_replications(
     indices = range(config.replications)
     if workers == 1:
         return [simulate_run(config, i) for i in indices]
-    # The pool forks: importing numpy first lets every worker inherit it
-    # instead of importing it again.
-    import numpy  # noqa: F401
     from concurrent.futures import ProcessPoolExecutor
 
     chunk = max(1, config.replications // (workers * 4))

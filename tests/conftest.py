@@ -26,3 +26,21 @@ def fresh_python():
         return done.stdout
 
     return run
+
+
+@pytest.fixture
+def philox_rng():
+    """numpy Philox generators keyed (seed, replication index).
+
+    The simulator drew its failure gaps from these, as rng.exponential(mtti)
+    = mtti * rng.standard_exponential(), under the generator tags
+    "philox4x64" and "philox4x64-exp"; tests feed them back in to show that
+    output changed only through the stream.
+    """
+    import numpy as np
+
+    def rng(seed: int, replication_index: int):
+        key = np.array([seed, replication_index], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
+
+    return rng

@@ -228,7 +228,7 @@ class TestSimulate:
         header, rows = parse_csv(out)
         assert header == ["replication", "wall_h", "failures", "repairs", "checkpoints", "interrupts"]
         assert len(rows) == 3
-        assert "philox4x64" in err
+        assert failure_sim.GENERATOR_NAME in err
 
     def test_range_rejected(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--gpus", "1024:2048:2:geometric")
@@ -463,12 +463,22 @@ def test_planning_requests_skip_simulator_imports(fresh_python):
         import contextlib, io, sys
         from traincost import cli
 
-        heavy = ("numpy", "multiprocessing", "concurrent.futures.process", "statistics")
-        for argv in (["cost", "1e12", "8"], ["sweep"], ["project"], ["simulate", "--reps", "2"]):
+        heavy = ("numpy", "hashlib", "multiprocessing", "concurrent.futures.process", "statistics")
+        for argv in (
+            ["cost", "1e12", "8"], ["sweep"], ["project"],
+            ["simulate", "--reps", "2", "--workers", "2"], ["report", "--reps", "2"],
+        ):
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 assert cli.main(argv) == 0
             print(argv[0], *[name for name in heavy if name in sys.modules])
     """))
-    *planning, simulate = out.splitlines()
+    *planning, pooled, report = out.splitlines()
     assert planning == ["cost", "sweep", "project"]
-    assert "numpy" in simulate.split()
+    # Pool workers draw every gap, so the parent imports nothing for them
+    # before it forks; hashlib loads with the first draw in process.
+    assert pooled.split() == [
+        "simulate", "multiprocessing", "concurrent.futures.process", "statistics"
+    ]
+    assert report.split() == [
+        "report", "hashlib", "multiprocessing", "concurrent.futures.process", "statistics"
+    ]

@@ -1,8 +1,9 @@
 import concurrent.futures
 import hashlib
+import itertools
 import math
 import pickle
-import textwrap
+import statistics
 from dataclasses import replace
 
 import pytest
@@ -19,6 +20,7 @@ from traincost.cluster_model import (
 )
 from traincost.config import ConfigFile
 from traincost.failure_sim import (
+    BLOCK,
     EVENT_DONE,
     EVENT_FAIL,
     EVENT_REPAIR,
@@ -26,7 +28,7 @@ from traincost.failure_sim import (
     GENERATOR_NAME,
     EventCounts,
     SimConfig,
-    _replication_rng,
+    _replication_gaps,
     _run_events,
     analytic_verdict,
     collect_replications,
@@ -122,68 +124,89 @@ class TestWorkerBound:
         with pytest.raises(ValueError, match="workers must be >= 1"):
             collect_replications(reference_config(replications=2), workers)
 
-    def test_numpy_imported_before_pool_forks(self, fresh_python):
-        # Forked workers inherit the parent's modules; without numpy there,
-        # each worker would import it again.
-        out = fresh_python(textwrap.dedent("""
-            import concurrent.futures, sys
-            from traincost import failure_sim
-            from traincost.cluster_model import ClusterSpec
-            from traincost.scaling_laws import ModelSpec
 
-            class PoolProbe:
-                # Reports whether numpy is loaded when the pool is built, then exits.
-                def __init__(self, max_workers):
-                    print("numpy" in sys.modules)
-                    sys.exit(0)
-
-            concurrent.futures.ProcessPoolExecutor = PoolProbe
-            failure_sim._available_cpus = lambda: 2
-            config = failure_sim.SimConfig(ModelSpec(1e12, 8), ClusterSpec(n_gpus=50_000), replications=2)
-            print("numpy" in sys.modules)
-            failure_sim.collect_replications(config, 2)
-        """))
-        assert out.split() == ["False", "True"]
-
-
-class ExponentialOnly:
-    """A generator that offers exponential draws and nothing else."""
-
-    def __init__(self, rng):
-        self.exponential = rng.exponential
-
-
-class FormerStream:
-    """The stream as drawn when each failure picked its group at random.
-
-    Each failure that found a group up drew rng.integers(groups - down)
-    before the next failure gap. At F=0 every failure finds all groups up,
-    so that was integers(groups) before every exponential but the first.
-    """
-
-    def __init__(self, rng, groups):
-        self._rng, self._groups, self._first = rng, groups, True
-
-    def exponential(self, scale):
-        if not self._first:
-            self._rng.integers(self._groups)
-        self._first = False
-        return self._rng.exponential(scale)
-
-
-def test_victim_rule_only_relabels_groups(monkeypatch, capsys):
+def test_victim_rule_only_relabels_groups(monkeypatch, capsys, philox_rng):
     # Fed the former stream, simulate reproduces the stdout pinned under the
     # former "philox4x64" tag bit for bit: taking the lowest free group
-    # changes which ids the trace names and nothing else.
+    # changes which ids the trace names and nothing else. In that stream
+    # each failure that found a group up drew rng.integers(groups - down)
+    # before the next failure gap; at F=0 every failure finds all groups up,
+    # so that was integers(groups) before every gap but the first.
     config = ConfigFile()
     groups = group_count(replace(config.cluster, n_gpus=DEFAULT_SIM_GPUS), config.resilience)
-    real = failure_sim._replication_rng
-    monkeypatch.setattr(
-        failure_sim, "_replication_rng", lambda seed, index: FormerStream(real(seed, index), groups)
-    )
+
+    def former_gaps(seed, index):
+        rng = philox_rng(seed, index)
+        yield rng.standard_exponential()
+        while True:
+            rng.integers(groups)
+            yield rng.standard_exponential()
+
+    monkeypatch.setattr(failure_sim, "_replication_gaps", former_gaps)
     assert main(["simulate", "--seed", "42", "--reps", "40"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert digest == "c5c3df0c6d1b7b6324b29a4dc59abb533af584f998c0180785feeb34c3ba0f0e"
+
+
+class CountingGaps:
+    """Passes the gaps of a stream through, counting how many were drawn."""
+
+    def __init__(self, gaps):
+        self._gaps, self.drawn = gaps, 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        self.drawn += 1
+        return next(self._gaps)
+
+
+class TestGapStream:
+    DRAWS = 100_000
+
+    def draws(self, seed, index, n=DRAWS):
+        return list(itertools.islice(_replication_gaps(seed, index), n))
+
+    @pytest.mark.parametrize("key, first, second, block_start", [
+        ((0, 0), "0x1.cbf1cdd4c69d6p-3", "0x1.703c4de21e378p-2", "0x1.567cdfb6e7ba9p+0"),
+        ((2**64 - 1, 2**64 - 1),
+         "0x1.04d566a476f17p-3", "0x1.bda7d35c6659fp-3", "0x1.9e9d700b51b85p-3"),
+    ], ids=["zero_key", "max_key"])
+    def test_known_answers(self, key, first, second, block_start):
+        # The first two draws and the first draw of the second block.
+        gaps = self.draws(*key, n=BLOCK + 1)
+        assert [gaps[0].hex(), gaps[1].hex(), gaps[BLOCK].hex()] == [first, second, block_start]
+
+    def test_standard_exponential_by_kolmogorov_smirnov(self):
+        n = self.DRAWS
+        cdf = [-math.expm1(-x) for x in sorted(self.draws(2024, 7))]
+        d = max(max((i + 1) / n - f, f - i / n) for i, f in enumerate(cdf))
+        assert d < 1.628 / math.sqrt(n)  # the 1% critical value
+
+    @pytest.mark.parametrize("neighbour", [(2025, 7), (2024, 8)],
+                             ids=["next_seed", "next_replication"])
+    def test_adjacent_keys_uncorrelated(self, neighbour):
+        r = statistics.correlation(self.draws(2024, 7), self.draws(*neighbour))
+        assert abs(r) < 2.576 / math.sqrt(self.DRAWS)  # two-sided 1% bound
+
+    @pytest.mark.parametrize("groups, mtti_h", [(3, 8.0), (8, 8.0), (8, math.inf)])
+    def test_one_gap_per_failure_plus_one(self, groups, mtti_h):
+        # F=5 and a 24 h repair: with 3 groups every group is down at times,
+        # and with 8 groups six down at once interrupt the run.
+        run = replace(reference_config().run, solve_h=500.0, mtti_h=mtti_h, groups=groups)
+        resilience = replace(OPT_RESILIENCE, ttr_h=24.0)
+        gaps = CountingGaps(_replication_gaps(0, 0))
+        trace = []
+        wall, counts = _run_events(run, resilience, gaps, 1e7, trace)
+        assert math.isfinite(wall)
+        assert gaps.drawn == (counts.failures + 1 if math.isfinite(mtti_h) else 0)
+        if not math.isfinite(mtti_h):
+            assert counts.failures == 0
+        elif groups <= resilience.tolerated_group_failures:
+            assert (EVENT_FAIL, None) in [(k, g) for _, k, g in trace]
+        else:
+            assert counts.interrupts > 0
 
 
 class TestFailureFree:
@@ -203,7 +226,7 @@ class TestFailureFree:
             reference_config(replications=1).run,
             solve_h=100.0, tau_h=9.0, delta_h=0.5, mtti_h=math.inf, groups=10,
         )
-        wall, counts = _run_events(run, BASELINE, _replication_rng(0, 0), 1e9)
+        wall, counts = _run_events(run, BASELINE, iter(()), 1e9)  # no gap is drawn
         assert wall == 100.0 + 11 * 0.5
         assert counts.checkpoints == 11
 
@@ -328,22 +351,6 @@ class TestTrace:
                 assert gid == down.pop(0)
             elif kind == EVENT_RESTART:
                 down.clear()
-
-    @pytest.mark.parametrize("groups", [3, 8])
-    def test_stream_holds_only_exponentials(self, groups):
-        # F=5 and a 24 h repair: with 3 groups every group is down at times,
-        # and with 8 groups six down at once interrupt the run.
-        run = replace(reference_config().run, solve_h=500.0, mtti_h=8.0, groups=groups)
-        resilience = replace(OPT_RESILIENCE, ttr_h=24.0)
-        trace = []
-        wall, counts = _run_events(
-            run, resilience, ExponentialOnly(_replication_rng(0, 0)), 1e7, trace
-        )
-        assert math.isfinite(wall)
-        if groups <= resilience.tolerated_group_failures:
-            assert (EVENT_FAIL, None) in [(k, g) for _, k, g in trace]
-        else:
-            assert counts.interrupts > 0
 
     def test_censoring_returns_inf(self):
         config = reference_config(replications=1, max_wall_h=10.0)

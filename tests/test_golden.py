@@ -2,15 +2,16 @@
 
 Each case hashes the stdout of one CLI command. A mismatch means the
 output bytes changed; a change that means to alter them must say why and
-update the hash. The simulate and report hashes also pin the numpy
-Philox stream tagged by failure_sim.GENERATOR_NAME; the tag they were
-taken under is pinned here too, so a stream change shows in this file.
+update the hash. The simulate and report hashes also pin the gap stream
+tagged by failure_sim.GENERATOR_NAME; the tag they were taken under is
+pinned here too, so a stream change shows in this file.
 
 The every-key config sets each config key to a non-default value, so a
 key mapped onto the wrong field changes a hash.
 """
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -101,3 +102,38 @@ def test_every_key_config_sets_every_key():
 
 def test_hashes_taken_under_generator_tag():
     assert failure_sim.GENERATOR_NAME == "philox4x64-exp"
+
+
+# The stream-dependent pins as taken under "philox4x64-exp", whose gaps were
+# numpy Philox draws keyed (seed, replication).
+PHILOX_PINS = [
+    (["simulate", "--seed", "42", "--reps", "40"], "",
+     "6406fe8374042bac757a5e537cf3545202a0428e9f9449e00f909f15692f718e"),
+    (["report", "--reps", "40"], "",
+     "120faf5967279c75c35207847f3def5fbd578a354fb00aec3d4330f5e7910a5c"),
+    (["report", "--reps", "40"], EVERY_KEY_CONFIG,
+     "fb0dbba25101f8796b4171286397197e66cce05e9b490b401e4aeb6a659a77bf"),
+]
+
+
+@pytest.mark.parametrize("args, config_text, digest", PHILOX_PINS,
+                         ids=["simulate", "report", "every_key_report"])
+def test_philox_gaps_reproduce_former_pins(
+    monkeypatch, capsys, tmp_path, philox_rng, args, config_text, digest
+):
+    # Fed the former stream and labelled with the former tag, the simulator
+    # reproduces the former output bit for bit: the stream is all that changed.
+    monkeypatch.setattr(
+        failure_sim, "_replication_gaps",
+        lambda seed, index: iter(philox_rng(seed, index).standard_exponential, None),
+    )
+    summarize = failure_sim.summarize
+    monkeypatch.setattr(
+        failure_sim, "summarize",
+        lambda outcomes: replace(summarize(outcomes), generator="philox4x64-exp"),
+    )
+    if config_text:
+        config = tmp_path / "every_key.yaml"
+        config.write_text(config_text)
+        args = args + ["--config", str(config)]
+    assert stdout_sha256(capsys, args) == digest
