@@ -79,6 +79,22 @@ EVERY_KEY_PINS = [
 ]
 
 
+# simulate with F > 0. The optimized strategy at 150k GPUs rides out most
+# failures in degraded mode; at 2,048 GPUs there are G = 4 <= F groups, so a
+# run never interrupts and some failures find every group already down.
+DEGRADED_PINS = [
+    ("cluster: {fs_bw_gbs: 2000}\n"
+     "resilience: {ckpt_mem_fraction: 0.5, ft_f: 5, ttr_h: 8}\n",
+     ["simulate", "--gpus", "150000", "--seed", "7", "--reps", "40"],
+     "cf42da7822624115c68ce79805a56b8d5bd4872f5c9e343e7c5981de4ec5e7f5"),
+    ("cluster: {gpu_mtbf_h: 200000}\n"
+     "growth: {base_params: 3.0e11}\n"
+     "resilience: {ft_f: 5, ttr_h: 200}\n",
+     ["simulate", "--gpus", "2048", "--seed", "7", "--reps", "40"],
+     "5de7519fd394a8825d2403414a8c43e5ea8f461e4bd7c8d5650cfecd41d1fddf"),
+]
+
+
 def stdout_sha256(capsys, args):
     assert main(args) == 0
     return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
@@ -93,6 +109,14 @@ def test_default_output_pinned(capsys, args, digest):
 def test_every_key_output_pinned(capsys, tmp_path, args, digest):
     config = tmp_path / "every_key.yaml"
     config.write_text(EVERY_KEY_CONFIG)
+    assert stdout_sha256(capsys, args + ["--config", str(config)]) == digest
+
+
+@pytest.mark.parametrize("config_text, args, digest", DEGRADED_PINS,
+                         ids=["degraded", "all_groups_down"])
+def test_degraded_output_pinned(capsys, tmp_path, config_text, args, digest):
+    config = tmp_path / "degraded.yaml"
+    config.write_text(config_text)
     assert stdout_sha256(capsys, args + ["--config", str(config)]) == digest
 
 
