@@ -10,12 +10,14 @@ compared against the same breakdown's expectation.
 
 Event semantics
 ---------------
-* Failures arrive as a Poisson process with rate 1/MTTI and each disables
-  the lowest-numbered active group for ttr_h (its repair time). That is
-  exact: groups are symmetric (same share of progress, same repair time),
-  so the choice changes only the trace's group ids, and the random stream
-  holds only the gaps between failures. Every repair takes ttr_h, so
-  repairs finish in the order their failures happened.
+* Failures arrive as a Poisson process with rate 1/MTTI. A failure that
+  finds a group up takes one down for ttr_h (its repair time); one that
+  finds every group down changes only the failure count. The state is the
+  number of groups down, kept as a FIFO deque of their repair times. That
+  is exact: groups are symmetric (same share of progress, same repair
+  time), so which group fails carries no information, and every repair
+  takes ttr_h, so repairs finish in the order their failures happened.
+  The random stream holds only the gaps between failures.
 * Progress accrues at rate active_groups/G while the job is not writing a
   checkpoint; a checkpoint of duration delta starts after every tau hours
   of accumulated progress (progress-keyed, so degraded stretches do not
@@ -59,7 +61,7 @@ GENERATOR_NAME = "shake256-exp"
 # (~4,000 failures) it timed within noise of 512 and 1,024 per draw.
 BLOCK = 256
 
-TRACE_COLUMNS = ("time_h", "kind", "group_id")
+TRACE_COLUMNS = ("time_h", "kind", "groups_down")
 
 EVENT_FAIL = "FAIL"
 EVENT_REPAIR = "REPAIR"
@@ -163,8 +165,7 @@ def _run_events(
     t = 0.0
     progress = 0.0
     ckpt_progress = 0.0
-    repairs_due: deque[tuple[float, int]] = deque()  # (repair time, group id)
-    down_ids: set[int] = set()
+    repairs_due: deque[float] = deque()  # one repair time per down group, FIFO
     writing_until: float | None = None
     failures = repairs = checkpoints = interrupts = 0
 
@@ -174,7 +175,7 @@ def _run_events(
     next_fail = next_failure(t)
 
     while True:
-        active = groups - len(down_ids)
+        active = groups - len(repairs_due)
         rate = active / groups  # exactly 1.0 with all groups up
         target = None
         if writing_until is not None:
@@ -184,7 +185,7 @@ def _run_events(
             t_work = t + (target - progress) / rate
         else:
             t_work = math.inf  # all groups down, waiting on repairs
-        t_repair = repairs_due[0][0] if repairs_due else math.inf
+        t_repair = repairs_due[0] if repairs_due else math.inf
         t_next = min(next_fail, t_repair, t_work)
 
         if t_next > max_wall_h:
@@ -198,51 +199,43 @@ def _run_events(
         # Tie-break order: repairs, then work/checkpoint completion, then
         # failures; simultaneous events have probability zero anyway.
         if t_repair <= next_fail and t_repair <= t_work:
-            _, gid = repairs_due.popleft()
-            down_ids.discard(gid)
+            repairs_due.popleft()
             repairs += 1
             if emit:
-                emit((t, EVENT_REPAIR, gid))
+                emit((t, EVENT_REPAIR, len(repairs_due)))
         elif t_work <= next_fail:
             if writing_until is not None:
                 writing_until = None
                 ckpt_progress = progress
                 checkpoints += 1
                 if emit:
-                    emit((t, EVENT_CKPT_END, None))
+                    emit((t, EVENT_CKPT_END, len(repairs_due)))
             else:
                 progress = target  # snap away accrual rounding
                 if progress >= work:
                     if emit:
-                        emit((t, EVENT_DONE, None))
+                        emit((t, EVENT_DONE, len(repairs_due)))
                     counts = EventCounts(failures, repairs, checkpoints, interrupts)
                     return t, counts
                 writing_until = t + delta
                 if emit:
-                    emit((t, EVENT_CKPT_START, None))
+                    emit((t, EVENT_CKPT_START, len(repairs_due)))
         else:
             failures += 1
-            victim = None
             if active > 0:
-                # At most F groups are down here: O(F), not O(G).
-                victim = 0
-                while victim in down_ids:
-                    victim += 1
-                repairs_due.append((t + ttr, victim))
-                down_ids.add(victim)
+                repairs_due.append(t + ttr)
             if emit:
-                emit((t, EVENT_FAIL, victim))
-            if len(down_ids) > tolerated:
+                emit((t, EVENT_FAIL, len(repairs_due)))
+            if len(repairs_due) > tolerated:
                 interrupts += 1
                 if emit:
-                    emit((t, EVENT_INTERRUPT, None))
+                    emit((t, EVENT_INTERRUPT, len(repairs_due)))
                 progress = ckpt_progress
                 writing_until = None
                 t += ttr
                 repairs_due.clear()
-                down_ids.clear()
                 if emit:
-                    emit((t, EVENT_RESTART, None))
+                    emit((t, EVENT_RESTART, 0))
             next_fail = next_failure(t)
 
 
@@ -251,8 +244,8 @@ def simulate_run(
 ) -> tuple[float, EventCounts]:
     """Simulate one replication; deterministic in (config.seed, replication_index).
 
-    When trace is a list, one (time_h, kind, group_id) record per event is
-    appended to it.
+    When trace is a list, one (time_h, kind, groups_down) record per event
+    is appended to it, with the number of groups down after the event.
     """
     if not 0 <= replication_index < 2**64:
         raise ValueError("replication_index must be a 64-bit unsigned integer")

@@ -23,6 +23,7 @@ from traincost.failure_sim import (
     BLOCK,
     EVENT_DONE,
     EVENT_FAIL,
+    EVENT_INTERRUPT,
     EVENT_REPAIR,
     EVENT_RESTART,
     GENERATOR_NAME,
@@ -127,8 +128,9 @@ class TestWorkerBound:
 
 def test_victim_rule_only_relabels_groups(monkeypatch, capsys, philox_rng):
     # Fed the former stream, simulate reproduces the stdout pinned under the
-    # former "philox4x64" tag bit for bit: taking the lowest free group
-    # changes which ids the trace names and nothing else. In that stream
+    # former "philox4x64" tag bit for bit: which group a failure took, once
+    # drawn at random and now not named at all (the simulator only counts
+    # the groups down), never changed anything but labels. In that stream
     # each failure that found a group up drew rng.integers(groups - down)
     # before the next failure gap; at F=0 every failure finds all groups up,
     # so that was integers(groups) before every gap but the first.
@@ -146,6 +148,29 @@ def test_victim_rule_only_relabels_groups(monkeypatch, capsys, philox_rng):
     assert main(["simulate", "--seed", "42", "--reps", "40"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert digest == "c5c3df0c6d1b7b6324b29a4dc59abb533af584f998c0180785feeb34c3ba0f0e"
+
+
+def replay_groups_down(trace, groups, resilience):
+    """Checks a trace's groups_down column by replaying its events in order.
+
+    A FAIL takes a group unless all are down, so the count rises by 1 or
+    stays at G; each REPAIR lowers it by 1, exactly ttr_h after the oldest
+    unrepaired FAIL that took a group; a count above F interrupts at once,
+    and only then; RESTART brings every group back.
+    """
+    taken = []  # times of the FAILs that took a group, oldest first
+    next_kinds = [k for _, k, _ in trace[1:]] + [None]
+    for (t, kind, down), next_kind in zip(trace, next_kinds):
+        if kind == EVENT_FAIL and len(taken) < groups:
+            taken.append(t)
+        elif kind == EVENT_REPAIR:
+            assert t == taken.pop(0) + resilience.ttr_h
+        elif kind == EVENT_RESTART:
+            taken.clear()
+        assert down == len(taken)
+        over = down > resilience.tolerated_group_failures
+        assert (kind == EVENT_FAIL and over) == (next_kind == EVENT_INTERRUPT)
+        assert kind != EVENT_INTERRUPT or over
 
 
 class CountingGaps:
@@ -202,8 +227,12 @@ class TestGapStream:
         wall, counts = _run_events(run, resilience, gaps, 1e7, trace)
         assert math.isfinite(wall)
         assert gaps.drawn == counts.failures + 1
+        replay_groups_down(trace, groups, resilience)
         if groups <= resilience.tolerated_group_failures:
-            assert (EVENT_FAIL, None) in [(k, g) for _, k, g in trace]
+            # Some FAIL found every group already down: the count stays at G.
+            before = [0] + [g for _, _, g in trace]
+            assert any(k == EVENT_FAIL and g == b == groups
+                       for (_, k, g), b in zip(trace, before))
         else:
             assert counts.interrupts > 0
 
@@ -325,31 +354,18 @@ class TestTrace:
         wall, _ = simulate_run(reference_config(), 0, trace=trace)
         times = [t for t, _, _ in trace]
         assert times == sorted(times)
-        assert trace[-1] == (wall, EVENT_DONE, None)
+        assert trace[-1] == (wall, EVENT_DONE, 0)
         kinds = {k for _, k, _ in trace}
         assert kinds <= {
             "FAIL", "REPAIR", "CKPT_START", "CKPT_END", "INTERRUPT", "RESTART", "DONE",
         }
 
-    def test_fail_and_repair_carry_group_ids(self):
+    def test_groups_down_replays_fifo_repairs(self):
         trace = []
         config = reference_config(resilience=OPT_RESILIENCE, cluster=OPT_CLUSTER)
         simulate_run(config, 1, trace=trace)
-        groups = [g for _, k, g in trace if k in (EVENT_FAIL, EVENT_REPAIR)]
-        assert groups, "expected failures in a 50k-GPU run"
-        assert all(g is None or 0 <= g < 97 for g in groups)
-        assert any(g for g in groups), "expected a failure while another group was down"
-        # Replayed in order: a failure takes the lowest id not down, and
-        # repairs come back in the order their groups failed.
-        down = []
-        for _, kind, gid in trace:
-            if kind == EVENT_FAIL and gid is not None:
-                assert gid == min(set(range(97)).difference(down))
-                down.append(gid)
-            elif kind == EVENT_REPAIR:
-                assert gid == down.pop(0)
-            elif kind == EVENT_RESTART:
-                down.clear()
+        replay_groups_down(trace, config.run.groups, OPT_RESILIENCE)
+        assert max(g for _, _, g in trace) >= 2, "expected a failure while a group was down"
 
     def test_censoring_returns_inf(self):
         config = reference_config(replications=1, max_wall_h=10.0)
@@ -363,8 +379,8 @@ class TestTrace:
         simulate_run(reference_config(), 0, trace=trace)
         csv_text = trace_table(trace).to_csv()
         lines = csv_text.strip().split("\n")
-        assert lines[0] == "time_h,kind,group_id"
-        assert lines[-1].endswith("DONE,")
+        assert lines[0] == "time_h,kind,groups_down"
+        assert lines[-1].endswith(",DONE,0")
         assert any(",FAIL," in line for line in lines)
 
 
