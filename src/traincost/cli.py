@@ -337,11 +337,12 @@ def _narrative(config: ConfigFile) -> str:
         f"- required compute grows {growth_rate:.0%}/year at these trends (>500%).",
         f"- optimized resilience is {ratio:.2f}x faster than baseline at 50k GPUs (~2x).",
     ]
-    if crossings.gpu_base_crossing:
+    gpu_x, it_x = crossings.gpu_base_crossing, crossings.it_spend_crossing
+    if gpu_x:
         lines.append(
-            f"- the run cost crosses the GPU installed-base curve around "
-            f"{crossings.gpu_base_crossing:.1f} and IT spending around "
-            f"{crossings.it_spend_crossing:.1f} under the shipped market anchors."
+            f"- the run cost crosses the GPU installed-base curve around {gpu_x:.1f} "
+            f"and IT spending {f'around {it_x:.1f}' if it_x else 'never'} "
+            "under the shipped market anchors."
         )
     lines.append(
         "Market anchors are editable assumptions (see the market section of the "

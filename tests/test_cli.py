@@ -413,6 +413,14 @@ class TestReport:
         ):
             assert section in out
 
+    def test_it_spending_never_crossed(self, capsys, tmp_path):
+        config = tmp_path / "market.yaml"
+        config.write_text("market: {it_spend_usd: 1e20}\n")
+        code, out, _ = run_cli(capsys, "report", "--reps", "2", "--config", str(config))
+        assert code == 0
+        assert "crosses the GPU installed-base curve around" in out
+        assert "and IT spending never under" in out
+
     def test_report_deterministic(self, capsys):
         _, a, _ = run_cli(capsys, "report", "--reps", "2", "--seed", "5")
         _, b, _ = run_cli(capsys, "report", "--reps", "2", "--seed", "5")
