@@ -525,6 +525,9 @@ def main(argv: list[str] | None = None) -> int:
     except (CliError, ConfigError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except OverflowError:
+        sys.stderr.write("error: a result exceeds float range; use smaller inputs\n")
+        return 1
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")
         return 3

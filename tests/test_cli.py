@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import math
 import textwrap
 from dataclasses import replace
@@ -19,7 +21,7 @@ from traincost.cli import (
     parse_years_spec,
 )
 from traincost.cluster_model import expected_runtime, solve_hours
-from traincost.config import ConfigFile, parse_config, serialize
+from traincost.config import _FIELDS, ConfigFile, parse_config, serialize
 from traincost.scaling_laws import ModelSpec
 
 
@@ -464,6 +466,42 @@ def test_fuzz_years_spec_raises_only_cli_error(spec):
     except CliError:
         return
     assert years == list(range(years[0], years[-1] + 1))
+
+
+_NUMERIC_KEYS = sorted(key for key in _FIELDS if key != "scenario.name")
+_VALUES = st.one_of(
+    st.sampled_from([0, 1, 2, 8, 1.95, 2.5, 2024, 1e12, 1e200]),
+    st.floats(-10.0, 1e300, allow_nan=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(st.sampled_from(_NUMERIC_KEYS), _VALUES, max_size=6),
+    st.one_of(
+        st.tuples(st.just("cost"), st.floats(1.0, 1e300).map(repr), st.integers(1, 64).map(str)),
+        st.tuples(st.just("project"), st.just("--years"),
+                  st.tuples(st.integers(2000, 2100), st.integers(0, 400))
+                  .map(lambda p: f"{p[0]}:{p[0] + p[1]}"),
+                  st.just("--scenario"), st.sampled_from(["best_guess", "worst_case,custom"])),
+        st.tuples(st.just("sweep"), st.just("--gpus"),
+                  st.sampled_from(["1024", "1024:262144:3:geometric"])),
+    ),
+)
+def test_fuzz_planning_requests_exit_cleanly(tmp_path_factory, values, argv):
+    # Any config subset and any request either succeeds or exits 1 or 2 with
+    # a message: no input reaches the user as a traceback.
+    sections = {}
+    for key, value in values.items():
+        section, name = key.split(".")
+        sections.setdefault(section, []).append(f"  {name}: {value!r}\n")
+    config = tmp_path_factory.mktemp("fuzz") / "config.yaml"
+    config.write_text("".join(f"{s}:\n" + "".join(lines) for s, lines in sections.items()))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([*argv, "--config", str(config)])
+    assert code in (0, 1, 2)
+    assert code != 1 or err.getvalue().startswith("error: ")
 
 
 def test_planning_requests_skip_simulator_imports(fresh_python):
