@@ -1,6 +1,16 @@
 """Configuration ingestion and serialization.
 
-Config files are small YAML documents with one section per subsystem.
+Config files are small YAML documents with one section per subsystem. A
+line scanner from the standard library reads the subset of YAML they use:
+blank lines and "#" comments (at the start of a line or after a space); a
+section name at column 0, followed either by its keys as "key: value"
+lines indented by one common number of spaces or, on the same line, by a
+one-line flow mapping "{key: value, ...}"; plain values, quoted values
+without escapes, and empty values. Anything else (tabs, sequences, nested
+mappings, multi-line flow, anchors, tags, block scalars, "---", ": "
+inside a plain value) exits as "malformed config: ... (line N)". On the
+subset it reads what PyYAML reads; the tests check it against PyYAML.
+
 One table, _FIELDS, maps every key to the dataclass attribute it sets,
 in serialization order. Every key is optional: a missing key keeps the
 value of the default ConfigFile (of the named preset for scenario.*),
@@ -15,8 +25,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from functools import reduce
-
-import yaml
 
 from .cluster_model import ClusterSpec, ResilienceConfig
 from .projection import SCENARIOS, GrowthModel, MarketModel, Scenario
@@ -116,37 +124,104 @@ def _coerce(raw: str, kind: type, key: str, line: int):
     return value
 
 
+# The accepted subset of YAML, matched one line at a time. A name is a
+# plain scalar that starts with no indicator character. A value is empty,
+# quoted without escapes, or plain: no ": " inside, and a "#" after a space
+# starts a comment. Inside a flow mapping, plain values also exclude ":,?[]{}".
+# The patterns compile on first use (through re's cache), so a request
+# without a config file compiles none of them.
+_INDICATORS = r"\-?:,\[\]{}#&*!|>'\"%@`"
+_FLOW_CHARS = r"[^ :,?\[\]{}]"
+_QUOTED = r"'([^']*)'|\"([^\"\\]*)\""
+_PLAIN = rf"((?:[^ {_INDICATORS}]|-(?! |$))(?:[^ :]|:(?! |$)| +(?=[^ #]))*)"
+_FLOW_PLAIN = rf"((?:[^ {_INDICATORS}]|-(?={_FLOW_CHARS})){_FLOW_CHARS}*(?: +(?!#){_FLOW_CHARS}+)*)"
+_END = r"(?: +#.*| *)"
+_BLANK = r" *(?:#.*)?"
+_ENTRY = rf"( *)([^ {_INDICATORS}][^ :]*):(?= |$)(.*)"
+_VALUE = rf" *(?:{_QUOTED}|{_PLAIN})?{_END}"
+_FLOW_OPEN = r" *{"
+_FLOW_EMPTY = rf" *{{ *}}{_END}"
+_FLOW_ITEM = rf" *([^ {_INDICATORS}]{_FLOW_CHARS}*): +(?:{_QUOTED}|{_FLOW_PLAIN})? *([,}}])"
+
+# Characters YAML rejects or reads as a line break (after "\r\n" -> "\n").
+_UNSUPPORTED = frozenset(
+    map(chr, (*range(0x20), *range(0x7F, 0xA0), 0x2028, 0x2029, 0xFFFE, 0xFFFF))
+) - {"\n"}
+
+
+def _malformed(what: str, line: int) -> ConfigError:
+    return ConfigError(f"malformed config: {what} (line {line})")
+
+
+def _scalar(rest: str, line: int) -> str:
+    """The scalar after "key:", without its quotes or trailing comment."""
+    match = re.fullmatch(_VALUE, rest)
+    if not match:
+        raise _malformed("expected an empty, quoted or plain value", line)
+    return "".join(filter(None, match.groups()))
+
+
+def _flow(rest: str, line: int) -> list[tuple[str, str]]:
+    """The (name, scalar) entries of a one-line flow mapping "{k: v, ...}"."""
+    if re.fullmatch(_FLOW_EMPTY, rest):
+        return []
+    items, pos, closer = [], re.match(_FLOW_OPEN, rest).end(), ","
+    while closer == ",":
+        item = re.compile(_FLOW_ITEM).match(rest, pos)
+        if not item:
+            raise _malformed("expected a one-line flow mapping {key: value, ...}", line)
+        name, *values, closer = item.groups()
+        items.append((name, "".join(filter(None, values))))
+        pos = item.end()
+    if not re.fullmatch(_END, rest[pos:]):
+        raise _malformed("unexpected text after the flow mapping", line)
+    return items
+
+
 def _scan(text: str) -> dict[str, tuple[str, int]]:
-    """Raw "section.key" -> (scalar string, line) mapping."""
-    try:
-        root = yaml.compose(text, Loader=yaml.SafeLoader)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"malformed config: {exc}")
-    if root is None:
-        return {}
-    if not isinstance(root, yaml.MappingNode):
-        raise ConfigError("config must be a mapping of sections")
+    """Raw "section.key" -> (scalar string, line) mapping.
+
+    A section name sits at column 0. Its keys follow on lines indented by
+    one common number of spaces, or sit on its line as a flow mapping.
+    """
+    text = text.removeprefix("\ufeff").replace("\r\n", "\n")
+    if not _UNSUPPORTED.isdisjoint(text):
+        at = min(text.index(char) for char in _UNSUPPORTED.intersection(text))
+        raise _malformed(f"unsupported character {text[at]!r}", text.count("\n", 0, at) + 1)
     out: dict[str, tuple[str, int]] = {}
-    for section_node, body_node in root.value:
-        section = str(section_node.value)
-        line = section_node.start_mark.line + 1
-        if section not in _SECTIONS:
-            raise ConfigError(f"unknown section {section!r} (line {line})")
-        if isinstance(body_node, yaml.ScalarNode) and body_node.value == "":
+    section = None
+    indent = None  # the section's key indentation: "" before its first key, None if closed
+    for line, content in enumerate(text.split("\n"), 1):
+        if re.fullmatch(_BLANK, content):
             continue
-        if not isinstance(body_node, yaml.MappingNode):
-            raise ConfigError(f"section {section!r} must be a mapping (line {line})")
-        for key_node, value_node in body_node.value:
-            name = str(key_node.value)
-            key = f"{section}.{name}"
-            key_line = key_node.start_mark.line + 1
+        entry = re.fullmatch(_ENTRY, content)
+        if not entry:
+            raise _malformed("expected 'name:' or 'name: value'", line)
+        pad, name, rest = entry.groups()
+        if not pad:
+            if name not in _SECTIONS:
+                raise ConfigError(f"unknown section {name!r} (line {line})")
+            section, indent = name, ""
+            if re.fullmatch(_BLANK, rest):
+                continue
+            if not re.match(_FLOW_OPEN, rest):
+                raise ConfigError(f"section {name!r} must be a mapping (line {line})")
+            items, indent = _flow(rest, line), None
+        elif indent is None or indent not in ("", pad):
+            raise _malformed("indentation does not match the section's keys", line)
+        else:
+            indent = pad
+            nested = rest.lstrip(" ")[:1] in ("[", "{")
+            items = [(name, None if nested else _scalar(rest, line))]
+        for key_name, value in items:
+            key = f"{section}.{key_name}"
             if key not in _FIELDS:
-                raise ConfigError(f"unknown key {section}.{name!r} (line {key_line})")
-            if not isinstance(value_node, yaml.ScalarNode):
-                raise ConfigError(f"{key}: expected a scalar (line {key_line})")
+                raise ConfigError(f"unknown key {section}.{key_name!r} (line {line})")
+            if value is None:
+                raise ConfigError(f"{key}: expected a scalar (line {line})")
             if key in out:
-                raise ConfigError(f"duplicate key {section}.{name!r} (line {key_line})")
-            out[key] = (value_node.value, key_line)
+                raise ConfigError(f"duplicate key {section}.{key_name!r} (line {line})")
+            out[key] = (value, line)
     return out
 
 

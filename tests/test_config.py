@@ -5,8 +5,10 @@ from dataclasses import replace
 
 from traincost.config import (
     _FIELDS,
+    _SECTIONS,
     ConfigError,
     ConfigFile,
+    _scan,
     parse_config,
     serialize,
 )
@@ -245,13 +247,17 @@ def document_strategy():
         st.sampled_from(sorted(_FIELDS)),
         st.tuples(st.sampled_from(sections), st.text(max_size=8)).map(".".join),
     )
-    entries = st.lists(st.tuples(key, _SCALARS), max_size=6)
+    comment = st.sampled_from(["", "  # note", " #", "  # a: {b, c}"])
+    entries = st.lists(st.tuples(key, _SCALARS, comment, st.booleans()), max_size=6)
 
     def render(items):
         lines = []
-        for dotted, value in items:
+        for dotted, value, note, flow in items:
             section, _, name = dotted.partition(".")
-            lines += [f"{section}:", f"  {name}: {value}"]
+            if flow:
+                lines.append(f"{section}: {{{name}: {value}}}{note}")
+            else:
+                lines += [f"{section}:{note}", f"  {name}: {value}{note}"]
         return "\n".join(lines) + "\n"
 
     return st.one_of(entries.map(render), st.text(max_size=40))
@@ -265,3 +271,160 @@ def test_fuzz_parse_config_raises_only_config_error(text):
     except ConfigError:
         return
     assert parse_config(serialize(config)) == config
+
+
+def reference_scan(text: str) -> dict[str, tuple[str, int]]:
+    """The former PyYAML reader, which _scan must agree with on its subset."""
+    import yaml
+
+    try:
+        root = yaml.compose(text, Loader=yaml.SafeLoader)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"malformed config: {exc}")
+    if root is None:
+        return {}
+    if not isinstance(root, yaml.MappingNode):
+        raise ConfigError("config must be a mapping of sections")
+    out: dict[str, tuple[str, int]] = {}
+    for section_node, body_node in root.value:
+        section = str(section_node.value)
+        line = section_node.start_mark.line + 1
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown section {section!r} (line {line})")
+        if isinstance(body_node, yaml.ScalarNode) and body_node.value == "":
+            continue
+        if not isinstance(body_node, yaml.MappingNode):
+            raise ConfigError(f"section {section!r} must be a mapping (line {line})")
+        for key_node, value_node in body_node.value:
+            name = str(key_node.value)
+            key = f"{section}.{name}"
+            key_line = key_node.start_mark.line + 1
+            if key not in _FIELDS:
+                raise ConfigError(f"unknown key {section}.{name!r} (line {key_line})")
+            if not isinstance(value_node, yaml.ScalarNode):
+                raise ConfigError(f"{key}: expected a scalar (line {key_line})")
+            if key in out:
+                raise ConfigError(f"duplicate key {section}.{name!r} (line {key_line})")
+            out[key] = (value_node.value, key_line)
+    return out
+
+
+def outcome(read, text):
+    """What a reader returns, or the message it raises."""
+    try:
+        return read(text)
+    except ConfigError as exc:
+        return str(exc)
+
+
+_MADE_UP_NAMES = ["a", "bogus_key", "a#b", "z'9", "gpu_mem_gb-", "_x.", "b\"0"]
+_VALUE_TEXT = "az09.+-_~#:,'\"[]{}&*!|>%@` \u00e9"
+
+
+def _names(section):
+    """Mostly known names, often the same few, so duplicates come up."""
+    known = sorted(key.split(".")[1] for key in _FIELDS if key.startswith(section + "."))
+    return st.sampled_from(known[:3] * 6 + known * 4 + _MADE_UP_NAMES)
+
+
+def _plain(flow):
+    """Plain scalars of the subset: no ": " inside, no " #", no leading indicator."""
+    chars = "".join(c for c in _VALUE_TEXT if c not in (":,?[]{} " if flow else " "))
+    first = st.sampled_from([*"az09.+_~\u00e9", "-1", "-9", "-.", "-a"])
+    words = st.lists(st.tuples(st.sampled_from([" ", "  "]), st.text(chars, min_size=1, max_size=4)),
+                     max_size=2)
+    value = st.tuples(first, st.text(chars, max_size=4), words).map(
+        lambda t: t[0] + t[1] + "".join(gap + word for gap, word in t[2]))
+    return value.filter(lambda v: ": " not in v and not v.endswith(":") and " #" not in v)
+
+
+def _value(flow):
+    return st.one_of(
+        st.sampled_from(["1", "80", "-5", ".inf", "-.inf", ".nan", "1e400", "~", "best_case"]),
+        _plain(flow),
+        st.text(_VALUE_TEXT.replace("'", "") + "\\", max_size=6).map(lambda v: f"'{v}'"),
+        st.text(_VALUE_TEXT.replace('"', ""), max_size=6).map(lambda v: f'"{v}"'),
+        st.just(""),
+    )
+
+
+_NAMES = {section: _names(section) for section in [*_SECTIONS, "bogus"]}
+_FLOW_VALUES, _BLOCK_VALUES = _value(flow=True), _value(flow=False)
+_NOTE = st.sampled_from(["", " # c", "  # it's: {a, b} #"])
+
+
+@st.composite
+def subset_document(draw):
+    """A config document from the reader's subset, line by line."""
+    lines = []
+    for section in draw(st.lists(st.sampled_from([*_SECTIONS] * 3 + ["bogus"]), max_size=4)):
+        if draw(st.booleans()):
+            items = draw(st.lists(st.tuples(_NAMES[section], _FLOW_VALUES), max_size=3))
+            sep = draw(st.sampled_from([", ", ",", " , "]))
+            pad = draw(st.sampled_from(["", " "]))
+            body = sep.join(f"{n}: {v}" if v else f"{n}: " for n, v in items)
+            lines.append(f"{section}: {{{pad}{body}{pad}}}{draw(_NOTE)}")
+        else:
+            lines.append(f"{section}:{draw(_NOTE)}")
+            indent = " " * draw(st.integers(1, 4))
+            entries = st.tuples(_NAMES[section], _BLOCK_VALUES)
+            for name, value in draw(st.lists(entries, max_size=4)):
+                spacing = draw(st.sampled_from([" ", "  "])) if value else ""
+                lines.append(f"{indent}{name}:{spacing}{value}{draw(_NOTE)}")
+                if draw(st.integers(0, 5)) == 0:
+                    lines.append(draw(st.sampled_from(["", "   ", "# note", "      # deeper"])))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return ending.join(lines) + draw(st.sampled_from(["", ending]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(subset_document())
+def test_scan_agrees_with_pyyaml_on_the_subset(text):
+    ours, reference = outcome(_scan, text), outcome(reference_scan, text)
+    if isinstance(reference, str) and reference.startswith("malformed config: "):
+        assert isinstance(ours, str)  # PyYAML's messages are its own
+    else:
+        assert ours == reference
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("cluster:\n\tgpu_mem_gb: 80\n", 2),
+        ("cluster:\n  gpu_mem_gb: 80\t# tab\n", 2),
+        ("cluster:\n  - a\n", 2),
+        ("cluster:\n  gpu_mem_gb: a: b\n", 2),
+        ("cluster:\n  gpu_mem_gb: 80:\n", 2),
+        ("cluster: {gpu_mem_gb: 1,\n  fs_bw_gbs: 2}\n", 1),
+        ("cluster: {gpu_mem_gb: 1} x\n", 1),
+        ("cluster: {gpu_mem_gb: 8,0}\n", 1),
+        ("cluster: {gpu_mem_gb: 1, }\n", 1),
+        ("cluster:\n  gpu_mem_gb: &x 80\n", 2),
+        ("cluster:\n  gpu_mem_gb: *x\n", 2),
+        ("cluster:\n  gpu_mem_gb: !!float 80\n", 2),
+        ("cluster:\n  gpu_mem_gb: |\n    80\n", 2),
+        ("cluster:\n  gpu_mem_gb: >\n    80\n", 2),
+        ("---\ncluster:\n  gpu_mem_gb: 80\n", 1),
+        ("cluster:\n  gpu_mem_gb: 80\n...\n", 3),
+        ("cluster:\n  gpu_mem_gb:\n    80\n", 3),
+        ("cluster:\n  gpu_mem_gb: 80\n    fs_bw_gbs: 500\n", 3),
+        ("cluster:\n    gpu_mem_gb: 80\n  fs_bw_gbs: 500\n", 3),
+        ("  cluster:\n    gpu_mem_gb: 80\n", 1),
+        ("cluster:\n  gpu_mem_gb: 'it''s'\n", 2),
+        ("cluster:\n  gpu_mem_gb: \"8\\x30\"\n", 2),
+        ("cluster:\n  gpu_mem_gb: '80\n    '\n", 2),
+        ("cluster:\n  gpu_mem_gb: 80\rcpu_mtbf_h: 1\n", 2),
+        ("cluster:\n  ? gpu_mem_gb\n  : 80\n", 2),
+        ("cluster: 80\n", 1),
+        ("cluster: [gpu_mem_gb]\n", 1),
+        ("cluster:\n  gpu_mem_gb: {a: 1}\n", 2),
+    ],
+)
+def test_documents_outside_the_subset_are_rejected(text, line):
+    with pytest.raises(ConfigError) as err:
+        _scan(text)
+    assert str(err.value).endswith(f"(line {line})")
+
+
+def test_byte_order_mark_is_skipped():
+    assert _scan("\ufeffcluster:\n  gpu_mem_gb: 80\n") == {"cluster.gpu_mem_gb": ("80", 2)}
