@@ -14,14 +14,6 @@ from .cluster_model import (
     sweep_system_size,
 )
 from .config import ConfigError, ConfigFile, load_config, parse_config, serialize
-from .failure_sim import (
-    SimConfig,
-    SimResult,
-    analytic_verdict,
-    run_ensemble,
-    simulate_run,
-    validate_analytic,
-)
 from .projection import (
     SCENARIOS,
     GrowthModel,
@@ -44,6 +36,21 @@ from .scaling_laws import (
 )
 
 __version__ = "0.1.0"
+
+# The simulator's public names, imported from failure_sim on first use, so
+# that importing the package (and every planning request) skips it.
+_SIMULATOR = (
+    "SimConfig", "SimResult", "analytic_verdict", "run_ensemble", "simulate_run", "validate_analytic",
+)
+
+
+def __getattr__(name: str):
+    if name in _SIMULATOR:
+        from . import failure_sim
+
+        return getattr(failure_sim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ClusterSpec",

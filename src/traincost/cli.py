@@ -15,7 +15,9 @@ import math
 import sys
 from dataclasses import replace
 
-from . import cluster_model, failure_sim, projection, svgplot
+# failure_sim and svgplot are imported by the functions that use them, so
+# a request loads neither unless it simulates or draws a chart.
+from . import cluster_model, projection
 from .cluster_model import ResilienceConfig, SweepVariant
 from .config import ConfigError, ConfigFile, load_config
 from .projection import SCENARIOS, Scenario
@@ -246,6 +248,8 @@ def cmd_simulate(
     workers: int = 1,
 ) -> tuple[CsvTable, str]:
     """Monte Carlo replications plus a validation report against the closed form."""
+    from . import failure_sim
+
     if replications > MAX_REPLICATIONS:
         raise CliError(f"--reps asks for more than {MAX_REPLICATIONS} replications")
     sim_config = failure_sim.SimConfig(
@@ -363,6 +367,8 @@ def _resilience_ratio(config: ConfigFile) -> float:
 
 
 def sweep_chart(table: CsvTable) -> str:
+    from . import svgplot
+
     series = {}
     for row in table.rows:
         name, n_gpus, wall = row[1], row[0], row[10]
@@ -379,6 +385,8 @@ def sweep_chart(table: CsvTable) -> str:
 
 
 def project_chart(table: CsvTable) -> str:
+    from . import svgplot
+
     series = {}
     market_gpu = {}
     market_it = {}

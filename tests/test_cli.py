@@ -504,27 +504,58 @@ def test_fuzz_planning_requests_exit_cleanly(tmp_path_factory, values, argv):
     assert code != 1 or err.getvalue().startswith("error: ")
 
 
-def test_planning_requests_skip_simulator_imports(fresh_python):
-    out = fresh_python(textwrap.dedent("""
+def test_planning_requests_skip_simulator_imports(fresh_python, tmp_path):
+    config = tmp_path / "config.yaml"
+    config.write_text("cluster:\n  fs_bw_gbs: 900  # GB/s\nresilience: {ft_f: 1, ttr_h: 4}\n")
+    out = fresh_python(textwrap.dedent(f"""
         import contextlib, io, sys
         from traincost import cli
 
-        heavy = ("numpy", "hashlib", "multiprocessing", "concurrent.futures.process", "statistics")
+        heavy = ("yaml", "traincost.failure_sim", "traincost.svgplot", "numpy", "hashlib",
+                 "multiprocessing", "concurrent.futures.process", "statistics")
+        chart = {str(tmp_path / "chart.csv")!r}
         for argv in (
-            ["cost", "1e12", "8"], ["sweep"], ["project"],
+            ["cost", "1e12", "8"], ["sweep"], ["project"], ["project", "--svg", "--out", chart],
             ["simulate", "--reps", "2", "--workers", "2"], ["report", "--reps", "2"],
         ):
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                assert cli.main(argv) == 0
+                assert cli.main([*argv, "--config", {str(config)!r}]) == 0
             print(argv[0], *[name for name in heavy if name in sys.modules])
     """))
-    *planning, pooled, report = out.splitlines()
+    *planning, charted, pooled, report = out.splitlines()
     assert planning == ["cost", "sweep", "project"]
+    assert charted == "project traincost.svgplot"
     # Pool workers draw every gap, so the parent imports nothing for them
     # before it forks; hashlib loads with the first draw in process.
     assert pooled.split() == [
-        "simulate", "multiprocessing", "concurrent.futures.process", "statistics"
+        "simulate", "traincost.failure_sim", "traincost.svgplot",
+        "multiprocessing", "concurrent.futures.process", "statistics",
     ]
     assert report.split() == [
-        "report", "hashlib", "multiprocessing", "concurrent.futures.process", "statistics"
+        "report", "traincost.failure_sim", "traincost.svgplot",
+        "hashlib", "multiprocessing", "concurrent.futures.process", "statistics",
+    ]
+
+
+def test_package_exports_the_simulator_on_first_use(fresh_python):
+    out = fresh_python(textwrap.dedent("""
+        import sys
+        import traincost
+        print("traincost.failure_sim" in sys.modules)
+        from traincost import (
+            SimConfig, SimResult, analytic_verdict, run_ensemble, simulate_run, validate_analytic,
+        )
+        from traincost import failure_sim
+        print(SimConfig is failure_sim.SimConfig, run_ensemble is failure_sim.run_ensemble)
+        print(all(hasattr(traincost, name) for name in traincost.__all__))
+        try:
+            traincost.no_such_name
+        except AttributeError as exc:
+            print(exc)
+    """))
+    assert out.splitlines() == [
+        "False",
+        "True True",
+        "True",
+        "module 'traincost' has no attribute 'no_such_name'",
     ]
