@@ -229,8 +229,8 @@ def cmd_project(
         it_x = crossings.it_spend_crossing
         lines.append(
             f"{scenario.name}: crosses GPU installed base "
-            f"{'in %.2f' % gpu_x if gpu_x else 'never'}, "
-            f"IT spending {'in %.2f' % it_x if it_x else 'never'}"
+            f"{'never' if gpu_x is None else 'in %.2f' % gpu_x}, "
+            f"IT spending {'never' if it_x is None else 'in %.2f' % it_x}"
         )
     try:
         spread = projection.scenario_spread(config.growth, rates, config.market)
@@ -342,10 +342,10 @@ def _narrative(config: ConfigFile) -> str:
         f"- optimized resilience is {ratio:.2f}x faster than baseline at 50k GPUs (~2x).",
     ]
     gpu_x, it_x = crossings.gpu_base_crossing, crossings.it_spend_crossing
-    if gpu_x:
+    if gpu_x is not None:
         lines.append(
             f"- the run cost crosses the GPU installed-base curve around {gpu_x:.1f} "
-            f"and IT spending {f'around {it_x:.1f}' if it_x else 'never'} "
+            f"and IT spending {'never' if it_x is None else f'around {it_x:.1f}'} "
             "under the shipped market anchors."
         )
     lines.append(

@@ -15,6 +15,7 @@ from traincost.cli import (
     MAX_YEARS_SPAN,
     VALIDATION_TOLERANCE,
     CliError,
+    _narrative,
     cmd_simulate,
     main,
     parse_range_spec,
@@ -23,6 +24,10 @@ from traincost.cli import (
 from traincost.cluster_model import expected_runtime, solve_hours
 from traincost.config import _FIELDS, ConfigFile, parse_config, serialize
 from traincost.scaling_laws import ModelSpec
+
+
+# Every market curve starts below the run cost, so both crossings are at year 0.0.
+YEAR_ZERO_CONFIG = "growth: {base_year: 0}\nmarket: {gpu_base_usd: 1, it_spend_usd: 1}\n"
 
 
 def run_cli(capsys, *args):
@@ -205,6 +210,14 @@ class TestProject:
         code, _, err = run_cli(capsys, "project", "--scenario", "utopia")
         assert code == 1
         assert "utopia" in err
+
+    def test_crossing_in_the_base_year_zero(self, capsys, tmp_path):
+        # A crossing at year 0.0 is a crossing, not "never".
+        config = tmp_path / "year_zero.yaml"
+        config.write_text(YEAR_ZERO_CONFIG)
+        code, _, err = run_cli(capsys, "project", "--years", "0:2", "--config", str(config))
+        assert code == 0
+        assert "best_guess: crosses GPU installed base in 0.00, IT spending in 0.00\n" in err
 
 
 class TestSimulate:
@@ -422,6 +435,10 @@ class TestReport:
         assert code == 0
         assert "crosses the GPU installed-base curve around" in out
         assert "and IT spending never under" in out
+
+    def test_narrative_crossing_in_the_base_year_zero(self):
+        text = _narrative(parse_config(YEAR_ZERO_CONFIG))
+        assert "crosses the GPU installed-base curve around 0.0 and IT spending around 0.0" in text
 
     def test_report_deterministic(self, capsys):
         _, a, _ = run_cli(capsys, "report", "--reps", "2", "--seed", "5")
