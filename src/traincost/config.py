@@ -207,8 +207,10 @@ def _scan(text: str) -> dict[str, tuple[str, int]]:
             if not re.match(_FLOW_OPEN, rest):
                 raise ConfigError(f"section {name!r} must be a mapping (line {line})")
             items, indent = _flow(rest, line), None
-        elif indent is None or indent not in ("", pad):
-            raise _malformed("indentation does not match the section's keys", line)
+        elif indent is None:
+            raise _malformed("indented line outside a section's keys", line)
+        elif indent not in ("", pad):
+            raise _malformed("indentation differs from the section's other keys", line)
         else:
             indent = pad
             nested = rest.lstrip(" ")[:1] in ("[", "{")
