@@ -39,6 +39,7 @@ evaluation order. The standard library supplies it.
 from __future__ import annotations
 
 import itertools
+import marshal
 import math
 import os
 import struct
@@ -139,10 +140,13 @@ def _replication_gaps(seed: int, replication_index: int) -> Iterator[float]:
     import hashlib
 
     words = struct.Struct(f"<{BLOCK}Q").unpack
+    log = math.log
     for block in itertools.count():
         key = struct.pack("<QQQ", seed, replication_index, block)
-        for word in words(hashlib.shake_256(key).digest(8 * BLOCK)):
-            yield -math.log(1.0 - (word >> 11) * 2.0**-53)
+        yield from [
+            -log(1.0 - (word >> 11) * 2.0**-53)
+            for word in words(hashlib.shake_256(key).digest(8 * BLOCK))
+        ]
 
 
 def _run_events(
@@ -160,6 +164,9 @@ def _run_events(
     """
     work, tau, delta, mtti, groups = run.solve_h, run.tau_h, run.delta_h, run.mtti_h, run.groups
     tolerated, ttr = resilience.tolerated_group_failures, resilience.ttr_h
+    inf = math.inf
+    draw = gaps.__next__
+    failing = math.isfinite(mtti)  # an infinite MTTI draws no gap
 
     emit = trace.append if trace is not None else None
     t = 0.0
@@ -168,12 +175,10 @@ def _run_events(
     repairs_due: deque[float] = deque()  # one repair time per down group, FIFO
     writing_until: float | None = None
     failures = repairs = checkpoints = interrupts = 0
+    next_fail = t + mtti * draw() if failing else inf
 
-    def next_failure(after: float) -> float:
-        return after + mtti * next(gaps) if math.isfinite(mtti) else math.inf
-
-    next_fail = next_failure(t)
-
+    # The comparisons below are min(), spelled out: each keeps the first of
+    # equal values, as min() does, without the call.
     while True:
         active = groups - len(repairs_due)
         rate = active / groups  # exactly 1.0 with all groups up
@@ -181,12 +186,18 @@ def _run_events(
         if writing_until is not None:
             t_work = writing_until
         elif active > 0:
-            target = min(ckpt_progress + tau, work)
+            target = ckpt_progress + tau
+            if work < target:
+                target = work
             t_work = t + (target - progress) / rate
         else:
-            t_work = math.inf  # all groups down, waiting on repairs
-        t_repair = repairs_due[0] if repairs_due else math.inf
-        t_next = min(next_fail, t_repair, t_work)
+            t_work = inf  # all groups down, waiting on repairs
+        t_repair = repairs_due[0] if repairs_due else inf
+        t_next = next_fail
+        if t_repair < t_next:
+            t_next = t_repair
+        if t_work < t_next:
+            t_next = t_work
 
         if t_next > max_wall_h:
             counts = EventCounts(failures, repairs, checkpoints, interrupts)
@@ -236,7 +247,7 @@ def _run_events(
                 repairs_due.clear()
                 if emit:
                     emit((t, EVENT_RESTART, 0))
-            next_fail = next_failure(t)
+            next_fail = t + mtti * draw() if failing else inf
 
 
 def simulate_run(
@@ -264,27 +275,86 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _run_share(config: SimConfig, indices: range, write_fd: int) -> None:
+    """In a forked child: marshal the outcomes of indices to write_fd, then exit.
+
+    Each outcome is a (wall_h, failures, repairs, checkpoints, interrupts)
+    tuple. os._exit keeps the child out of its parent's code, buffers and
+    atexit handlers; an exception is printed to stderr and exits 1.
+    """
+    status = 1
+    try:
+        outcomes = []
+        for i in indices:
+            wall, counts = simulate_run(config, i)
+            outcomes.append(
+                (wall, counts.failures, counts.repairs, counts.checkpoints, counts.interrupts)
+            )
+        with open(write_fd, "wb") as pipe:
+            marshal.dump(outcomes, pipe)
+        status = 0
+    except Exception:
+        import traceback
+
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(status)
+
+
+def _forked_shares(config: SimConfig, workers: int) -> list[list[tuple]]:
+    """Fork one child per worker; returns the outcomes each child sent, child 0 first."""
+    pipes: list[int] = []  # the read end of each child's pipe
+    pids: list[int] = []
+    try:
+        for k in range(workers):
+            read_fd, write_fd = os.pipe()
+            pipes.append(read_fd)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _run_share(config, range(k, config.replications, workers), write_fd)
+            finally:
+                os.close(write_fd)  # so the pipe reads to its end once the child exits
+            pids.append(pid)
+        payloads = []
+        for read_fd in pipes:
+            with open(read_fd, "rb", closefd=False) as pipe:
+                payloads.append(pipe.read())
+    finally:
+        for read_fd in pipes:
+            os.close(read_fd)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    for k, code in enumerate(codes):
+        if code:
+            raise RuntimeError(f"simulation worker {k} exited with status {code}")
+    return [marshal.loads(payload) for payload in payloads]
+
+
 def collect_replications(
     config: SimConfig, workers: int = 1
 ) -> list[tuple[float, EventCounts]]:
-    """All replications in index order; workers > 1 fans out across processes.
+    """All replications in index order; workers > 1 forks children to share them.
 
-    At most min(workers, replications, available CPUs) processes start.
-    Output is independent of the worker count because every replication's
-    random stream is keyed by its own index.
+    With w = min(workers, replications, available CPUs) above 1, w children
+    are forked and child k runs replications k, k + w, k + 2w, ... This
+    process runs none of them, so it never draws a gap or loads hashlib.
+    With one worker, or where os.fork does not exist, every replication runs
+    here. A child that fails raises RuntimeError naming it. Output is
+    independent of the worker count because every replication's random
+    stream is keyed by its own index.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     workers = min(workers, config.replications, _available_cpus())
     indices = range(config.replications)
-    if workers == 1:
+    if workers == 1 or not hasattr(os, "fork"):
         return [simulate_run(config, i) for i in indices]
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunk = max(1, config.replications // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        configs = itertools.repeat(config)
-        return list(pool.map(simulate_run, configs, indices, chunksize=chunk))
+    shares = _forked_shares(config, workers)
+    outcomes = []
+    for i in indices:
+        wall, *counts = shares[i % workers][i // workers]
+        outcomes.append((wall, EventCounts(*counts)))
+    return outcomes
 
 
 def run_ensemble(config: SimConfig, workers: int = 1) -> SimResult:

@@ -539,18 +539,15 @@ def test_planning_requests_skip_simulator_imports(fresh_python, tmp_path):
                 assert cli.main([*argv, "--config", {str(config)!r}]) == 0
             print(argv[0], *[name for name in heavy if name in sys.modules])
     """))
-    *planning, charted, pooled, report = out.splitlines()
+    *planning, charted, forked, report = out.splitlines()
     assert planning == ["cost", "sweep", "project"]
     assert charted == "project traincost.svgplot"
-    # Pool workers draw every gap, so the parent imports nothing for them
-    # before it forks; hashlib loads with the first draw in process.
-    assert pooled.split() == [
-        "simulate", "traincost.failure_sim", "traincost.svgplot",
-        "multiprocessing", "concurrent.futures.process", "statistics",
-    ]
+    # With two workers the forked children draw every gap, so the parent
+    # loads no hashlib, and forking needs neither multiprocessing nor a
+    # pool; a serial request loads hashlib with its first draw.
+    assert forked.split() == ["simulate", "traincost.failure_sim", "traincost.svgplot", "statistics"]
     assert report.split() == [
-        "report", "traincost.failure_sim", "traincost.svgplot",
-        "hashlib", "multiprocessing", "concurrent.futures.process", "statistics",
+        "report", "traincost.failure_sim", "traincost.svgplot", "hashlib", "statistics",
     ]
 
 

@@ -1,18 +1,23 @@
-import concurrent.futures
 import hashlib
 import itertools
 import math
+import os
 import pickle
 import statistics
+import textwrap
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from traincost import failure_sim
 from traincost.cli import DEFAULT_SIM_GPUS, main
 from traincost.cluster_model import (
     ClusterSpec,
     ResilienceConfig,
+    RunBreakdown,
     expected_runtime,
     group_count,
     parallel_efficiency,
@@ -21,6 +26,8 @@ from traincost.cluster_model import (
 from traincost.config import ConfigFile
 from traincost.failure_sim import (
     BLOCK,
+    EVENT_CKPT_END,
+    EVENT_CKPT_START,
     EVENT_DONE,
     EVENT_FAIL,
     EVENT_INTERRUPT,
@@ -94,31 +101,67 @@ class TestDeterminism:
 class TestWorkerBound:
     @pytest.mark.parametrize(
         "workers, cpus, started",
-        [(64, 8, [4]), (3, 8, [3]), (64, 2, [2]), (10**9, 2, [2]), (3, 1, [])],
+        [(64, 8, range(4)), (3, 8, range(3)), (64, 2, range(2)), (10**9, 2, range(2)),
+         (3, 1, range(0))],
     )
     def test_pool_size_capped(self, monkeypatch, workers, cpus, started):
-        sizes = []
+        # started ranges over the children the parent forks: min(workers,
+        # 4 replications, cpus) of them, and none for one worker.
+        real_fork = os.fork
+        forked = []
 
-        class RecordingPool:
-            """Records the requested pool size and runs the tasks in process."""
+        def counting_fork():
+            pid = real_fork()
+            if pid:  # the child's own appends stay in the child
+                forked.append(pid)
+            return pid
 
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables, chunksize=1):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "fork", counting_fork)
         monkeypatch.setattr(failure_sim, "_available_cpus", lambda: cpus)
         config = reference_config(replications=4)
         assert collect_replications(config, workers) == collect_replications(config, 1)
-        assert sizes == started
+        assert len(forked) == len(started)
+
+    def test_serial_where_fork_is_missing(self, monkeypatch):
+        config = reference_config(replications=4)
+        serial = collect_replications(config, 1)
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(failure_sim, "_available_cpus", lambda: 8)
+        assert collect_replications(config, 4) == serial
+
+    def test_failed_child_raises_and_is_reaped(self, monkeypatch):
+        real_simulate_run = failure_sim.simulate_run
+
+        def failing_at_3(config, index):
+            if index == 3:
+                raise ArithmeticError("replication 3")
+            return real_simulate_run(config, index)
+
+        monkeypatch.setattr(failure_sim, "simulate_run", failing_at_3)
+        monkeypatch.setattr(failure_sim, "_available_cpus", lambda: 2)
+        with pytest.raises(RuntimeError, match="simulation worker 1 exited with status 1"):
+            collect_replications(reference_config(replications=4), 2)
+        with pytest.raises(ChildProcessError):  # no child is left to reap
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_children_leave_parent_buffers_and_exit_handlers_alone(self, fresh_python):
+        # stdout is a pipe here, so the text is still in the parent's buffer
+        # when the children fork; each must come out once, from the parent.
+        out = fresh_python(textwrap.dedent("""
+            import atexit, sys
+            from traincost import failure_sim
+            from traincost.cluster_model import ClusterSpec
+            from traincost.scaling_laws import ModelSpec
+
+            failure_sim._available_cpus = lambda: 2
+            config = failure_sim.SimConfig(
+                model=ModelSpec(1e12, 8), cluster=ClusterSpec(n_gpus=50_000), replications=4)
+            sys.stdout.write("unflushed;")
+            atexit.register(print, "atexit;", end="")
+            result = failure_sim.run_ensemble(config, workers=2)
+            print(len(result.wall_h), "hashlib" in sys.modules, end=";")
+        """))
+        assert out == "unflushed;4 False;atexit;"
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_below_one_rejected(self, workers):
@@ -185,6 +228,150 @@ class CountingGaps:
     def __next__(self):
         self.drawn += 1
         return next(self._gaps)
+
+
+# The event loop as it was before its min() calls were spelled out as
+# comparisons and its draws bound to gaps.__next__, kept verbatim as the
+# reference the current loop must match exactly.
+def reference_run_events(
+    run: RunBreakdown,
+    resilience: ResilienceConfig,
+    gaps: Iterator[float],
+    max_wall_h: float,
+    trace: list | None = None,
+) -> tuple[float, EventCounts]:
+    """Run one replication; returns (wall_h, counts), wall_h=inf if censored.
+
+    Failure gaps are read from gaps (standard exponential, scaled by the
+    MTTI): one for the first failure and one after each failure, none when
+    the MTTI is infinite.
+    """
+    work, tau, delta, mtti, groups = run.solve_h, run.tau_h, run.delta_h, run.mtti_h, run.groups
+    tolerated, ttr = resilience.tolerated_group_failures, resilience.ttr_h
+
+    emit = trace.append if trace is not None else None
+    t = 0.0
+    progress = 0.0
+    ckpt_progress = 0.0
+    repairs_due: deque[float] = deque()  # one repair time per down group, FIFO
+    writing_until: float | None = None
+    failures = repairs = checkpoints = interrupts = 0
+
+    def next_failure(after: float) -> float:
+        return after + mtti * next(gaps) if math.isfinite(mtti) else math.inf
+
+    next_fail = next_failure(t)
+
+    while True:
+        active = groups - len(repairs_due)
+        rate = active / groups  # exactly 1.0 with all groups up
+        target = None
+        if writing_until is not None:
+            t_work = writing_until
+        elif active > 0:
+            target = min(ckpt_progress + tau, work)
+            t_work = t + (target - progress) / rate
+        else:
+            t_work = math.inf  # all groups down, waiting on repairs
+        t_repair = repairs_due[0] if repairs_due else math.inf
+        t_next = min(next_fail, t_repair, t_work)
+
+        if t_next > max_wall_h:
+            counts = EventCounts(failures, repairs, checkpoints, interrupts)
+            return math.inf, counts
+
+        if writing_until is None and active > 0:
+            progress += (t_next - t) * rate
+        t = t_next
+
+        # Tie-break order: repairs, then work/checkpoint completion, then
+        # failures; simultaneous events have probability zero anyway.
+        if t_repair <= next_fail and t_repair <= t_work:
+            repairs_due.popleft()
+            repairs += 1
+            if emit:
+                emit((t, EVENT_REPAIR, len(repairs_due)))
+        elif t_work <= next_fail:
+            if writing_until is not None:
+                writing_until = None
+                ckpt_progress = progress
+                checkpoints += 1
+                if emit:
+                    emit((t, EVENT_CKPT_END, len(repairs_due)))
+            else:
+                progress = target  # snap away accrual rounding
+                if progress >= work:
+                    if emit:
+                        emit((t, EVENT_DONE, len(repairs_due)))
+                    counts = EventCounts(failures, repairs, checkpoints, interrupts)
+                    return t, counts
+                writing_until = t + delta
+                if emit:
+                    emit((t, EVENT_CKPT_START, len(repairs_due)))
+        else:
+            failures += 1
+            if active > 0:
+                repairs_due.append(t + ttr)
+            if emit:
+                emit((t, EVENT_FAIL, len(repairs_due)))
+            if len(repairs_due) > tolerated:
+                interrupts += 1
+                if emit:
+                    emit((t, EVENT_INTERRUPT, len(repairs_due)))
+                progress = ckpt_progress
+                writing_until = None
+                t += ttr
+                repairs_due.clear()
+                if emit:
+                    emit((t, EVENT_RESTART, 0))
+            next_fail = next_failure(t)
+
+
+def loop_case(groups, tolerated, mtti_h, ttr_h, max_wall_h, solve_h=200.0, tau_h=9.0,
+              delta_h=1.5, seed=0, index=0):
+    run = replace(reference_config().run, solve_h=solve_h, tau_h=tau_h, delta_h=delta_h,
+                  mtti_h=mtti_h, groups=groups)
+    resilience = ResilienceConfig(tolerated_group_failures=tolerated, ttr_h=ttr_h)
+    return run, resilience, max_wall_h, (seed, index)
+
+
+@st.composite
+def loop_cases(draw):
+    return loop_case(
+        groups=draw(st.integers(1, 100)),
+        tolerated=draw(st.integers(0, 6)),
+        mtti_h=draw(st.one_of(st.just(math.inf), st.floats(1.0, 50.0))),
+        # Short repairs leave a group or two down; long ones take every group down.
+        ttr_h=draw(st.one_of(st.floats(0.0, 2.0), st.floats(20.0, 200.0))),
+        max_wall_h=draw(st.one_of(st.floats(1.0, 100.0), st.just(5000.0))),
+        solve_h=draw(st.floats(1.0, 300.0)),
+        tau_h=draw(st.floats(0.5, 50.0)),
+        delta_h=draw(st.floats(0.01, 5.0)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        index=draw(st.integers(0, 2**64 - 1)),
+    )
+
+
+class TestEventLoopMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(loop_cases())
+    @example(loop_case(20, 5, 4.0, 1.0, 5000.0))  # degraded stretches, finishes
+    @example(loop_case(3, 6, 2.0, 100.0, 5000.0))  # every group down at times
+    @example(loop_case(8, 0, 3.0, 1.0, 5000.0, delta_h=4.0))  # failures mid-write
+    @example(loop_case(10, 0, 1.0, 2.0, 30.0))  # censored at a small horizon
+    @example(loop_case(10, 2, math.inf, 2.0, 5000.0))  # no failures, no draws
+    def test_same_wall_counts_trace_and_draws(self, case):
+        run, resilience, max_wall_h, key = case
+        gaps, reference_gaps = (CountingGaps(_replication_gaps(*key)) for _ in range(2))
+        trace, reference_trace = [], []
+        got = _run_events(run, resilience, gaps, max_wall_h, trace)
+        want = reference_run_events(run, resilience, reference_gaps, max_wall_h, reference_trace)
+        assert got == want
+        assert trace == reference_trace
+        assert gaps.drawn == reference_gaps.drawn
+        untraced = CountingGaps(_replication_gaps(*key))
+        assert _run_events(run, resilience, untraced, max_wall_h) == want
+        assert untraced.drawn == gaps.drawn
 
 
 class TestGapStream:
@@ -429,7 +616,8 @@ class TestValidation:
             SimConfig(model=reference_model(), cluster=CLUSTER_50K, run=reference_config().run)
 
     def test_pickle_keeps_run_without_deriving_again(self, monkeypatch):
-        # Pool workers receive the config pickled; they must not redo the derivation.
+        # Forked workers inherit the config and no longer receive it pickled,
+        # but library users may still pickle one: it must not redo the derivation.
         config = reference_config(replications=1)
 
         def forbidden(*args):
