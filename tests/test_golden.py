@@ -1,10 +1,11 @@
 """Byte-for-byte pins of CLI output.
 
-Each case hashes the stdout of one CLI command. A mismatch means the
-output bytes changed; a change that means to alter them must say why and
-update the hash. The simulate and report hashes also pin the gap stream
-tagged by failure_sim.GENERATOR_NAME; the tag they were taken under is
-pinned here too, so a stream change shows in this file.
+Each case hashes the stdout of one CLI command, or the chart that --svg
+writes. A mismatch means the output bytes changed; a change that means
+to alter them must say why and update the hash. The simulate and report
+hashes also pin the gap stream tagged by failure_sim.GENERATOR_NAME; the
+tag they were taken under is pinned here too, so a stream change shows
+in this file.
 
 The every-key config sets each config key to a non-default value, so a
 key mapped onto the wrong field changes a hash.
@@ -95,6 +96,17 @@ DEGRADED_PINS = [
 ]
 
 
+# The chart that --svg writes next to the CSV, as (config, args, sha256).
+SVG_PINS = [
+    ("", ["sweep"],
+     "9855f5e173c980fe6a3c6ff45c6951d9a366740d37700745233506da32283aab"),
+    (EVERY_KEY_CONFIG, ["sweep"],
+     "c65a1d6a52e2eb95e5256f834cccec1e6a171e73720820dd4a856d0e821adbef"),
+    ("", ["project", "--scenario", "best_case,best_guess,worst_case"],
+     "aa27db89da01fb40c72b7cbdc14f4287461244f5876ae30c7208065ffd5313e0"),
+]
+
+
 def stdout_sha256(capsys, args):
     assert main(args) == 0
     return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
@@ -118,6 +130,18 @@ def test_degraded_output_pinned(capsys, tmp_path, config_text, args, digest):
     config = tmp_path / "degraded.yaml"
     config.write_text(config_text)
     assert stdout_sha256(capsys, args + ["--config", str(config)]) == digest
+
+
+@pytest.mark.parametrize("config_text, args, digest", SVG_PINS,
+                         ids=["sweep", "every_key_sweep", "project"])
+def test_chart_pinned(tmp_path, config_text, args, digest):
+    if config_text:
+        config = tmp_path / "config.yaml"
+        config.write_text(config_text)
+        args = args + ["--config", str(config)]
+    assert main(args + ["--out", str(tmp_path / "data.csv"), "--svg"]) == 0
+    svg = (tmp_path / "data.svg").read_bytes()
+    assert hashlib.sha256(svg).hexdigest() == digest
 
 
 def test_every_key_config_sets_every_key():
