@@ -32,7 +32,8 @@ from .tables import CsvTable
 
 DEFAULT_GPUS_RANGE = "1024:262144:9:geometric"
 DEFAULT_SIM_GPUS = 50_000
-DEFAULT_YEARS = "2023:2035"
+# project without --years, and report, span the base year and the years after it.
+DEFAULT_YEARS_AHEAD = 12
 DEFAULT_SEED = 0
 DEFAULT_REPS = 100
 VALIDATION_TOLERANCE = 0.20
@@ -122,6 +123,11 @@ def parse_years_spec(spec: str) -> list[int]:
     if end - start > MAX_YEARS_SPAN:
         raise CliError(f"years spec spans more than {MAX_YEARS_SPAN} years: {spec!r}")
     return list(range(start, end + 1))
+
+
+def default_years(config: ConfigFile) -> list[int]:
+    base = config.growth.base_year
+    return list(range(base, base + DEFAULT_YEARS_AHEAD + 1))
 
 
 def _select_scenarios(config: ConfigFile, names_arg: str) -> list[Scenario]:
@@ -299,9 +305,8 @@ def cmd_report(config: ConfigFile, seed: int, replications: int) -> str:
     sweep_table, _, _ = cmd_sweep(config, gpus_list)
     sections.append("== time-to-train vs system size ==\n" + sweep_table.to_csv())
 
-    years = parse_years_spec(DEFAULT_YEARS)
     project_table, project_summary = cmd_project(
-        config, years, [SCENARIOS[n] for n in ("best_case", "best_guess", "worst_case")]
+        config, default_years(config), [SCENARIOS[n] for n in ("best_case", "best_guess", "worst_case")]
     )
     sections.append("== cost projection ==\n" + project_table.to_csv())
     sections.append("== market crossings ==\n" + project_summary)
@@ -430,7 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_project = sub.add_parser("project", help="multi-year cost projection")
     add_common(p_project)
-    p_project.add_argument("--years", default=DEFAULT_YEARS, help="START:END inclusive")
+    p_project.add_argument("--years", help="START:END inclusive (default: the base year "
+                           f"through {DEFAULT_YEARS_AHEAD} years after it)")
     p_project.add_argument("--scenario", default="best_guess",
                            help="comma-separated scenario names")
     p_project.add_argument("--svg", action="store_true",
@@ -505,7 +511,7 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "project":
             chart_path = _chart_path(args)
-            years = parse_years_spec(args.years)
+            years = parse_years_spec(args.years) if args.years else default_years(config)
             scenarios = _select_scenarios(config, args.scenario)
             table, summary = cmd_project(config, years, scenarios)
             _write_output(table.to_csv(), args.out)

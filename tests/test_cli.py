@@ -220,6 +220,28 @@ class TestProject:
         assert "best_guess: crosses GPU installed base in 0.00, IT spending in 0.00\n" in err
 
 
+    @pytest.mark.parametrize("config_text, base_year", [
+        ("growth: {base_year: 2040}\n", 2040),  # 2023 is more than a decade before it
+        (YEAR_ZERO_CONFIG, 0),  # 2023 years of growth overflow float range
+    ], ids=["base_year_2040", "base_year_0"])
+    @pytest.mark.parametrize("command", [["project"], ["report", "--reps", "2"]],
+                             ids=["project", "report"])
+    def test_default_years_start_at_the_base_year(
+        self, capsys, tmp_path, config_text, base_year, command
+    ):
+        config = tmp_path / "growth.yaml"
+        config.write_text(config_text)
+        code, out, _ = run_cli(capsys, *command, "--config", str(config))
+        assert code == 0
+        scenarios = 1
+        if command[0] == "report":
+            out = out.split("== cost projection ==\n")[1].split("\n\n")[0]
+            scenarios = 3
+        header, rows = parse_csv(out)
+        years = [int(r[header.index("year")]) for r in rows]
+        assert years == list(range(base_year, base_year + 13)) * scenarios
+
+
 class TestSimulate:
     def test_deterministic_bytes(self, capsys):
         _, first, _ = run_cli(capsys, "simulate", "--gpus", "50000", "--seed", "9", "--reps", "5")
