@@ -74,9 +74,9 @@ EVERY_KEY_PINS = [
     (["sweep"],
      "f714b0d6a423b64cf5cd8203c7d23d061622e126f7d1ec52d2a06346e0b0b014"),
     (["report", "--reps", "40"],
-     "77c39d143a127170b5c206e7c6dd497f0a6a8cdbbbb8b1bd9ccc840846aa1057"),
+     "02c914ad5005fee76753619297803c5a5148a1710252d2a299f1f2ebe542a2f9"),
     (["project", "--scenario", "custom"],
-     "0fe5a4b3688f5736012f3344625f378ed306786bf70a241da7d0f3125b526acb"),
+     "bca0f3fd9030e0f440fca9fb9d1e08ba164aa7199ec5f2759dd9c5614ef89eb4"),
 ]
 
 
@@ -160,7 +160,7 @@ PHILOX_PINS = [
     (["report", "--reps", "40"], "",
      "120faf5967279c75c35207847f3def5fbd578a354fb00aec3d4330f5e7910a5c"),
     (["report", "--reps", "40"], EVERY_KEY_CONFIG,
-     "fb0dbba25101f8796b4171286397197e66cce05e9b490b401e4aeb6a659a77bf"),
+     "bc69f024127125a6984d7df932c235d7fe7413d6c72c6f8635bd5250b12574af"),
 ]
 
 
