@@ -305,9 +305,8 @@ def cmd_report(config: ConfigFile, seed: int, replications: int) -> str:
     sweep_table, _, _ = cmd_sweep(config, gpus_list)
     sections.append("== time-to-train vs system size ==\n" + sweep_table.to_csv())
 
-    project_table, project_summary = cmd_project(
-        config, default_years(config), [SCENARIOS[n] for n in ("best_case", "best_guess", "worst_case")]
-    )
+    scenarios = [SCENARIOS[n] for n in ("best_case", "best_guess", "worst_case")]
+    project_table, project_summary = cmd_project(config, default_years(config), scenarios)
     sections.append("== cost projection ==\n" + project_table.to_csv())
     sections.append("== market crossings ==\n" + project_summary)
 
@@ -458,12 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> ConfigFile:
-    if args.config:
-        return load_config(args.config)
-    return ConfigFile()
-
-
 def _write_output(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as handle:
@@ -474,7 +467,7 @@ def _write_output(text: str, out_path: str | None) -> None:
 
 def _chart_path(args) -> str | None:
     """Where --svg writes its chart: --out with its extension replaced by .svg."""
-    if not args.svg:
+    if not getattr(args, "svg", False):
         return None
     out_path = args.out
     if not out_path:
@@ -489,53 +482,37 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config = _load(args)
-
+        config = load_config(args.config) if args.config else ConfigFile()
+        chart_path = _chart_path(args)
+        # Each command sets its data (a table, or the report text), its
+        # stderr summary, its exit code and the function that charts the
+        # table; the writes below are the same for every command.
+        code, chart = 0, None
         if args.command == "cost":
-            table, summary = cmd_cost(config, args.params, args.experts)
-            _write_output(table.to_csv(), args.out)
-            sys.stderr.write(summary)
-            return 0
-
-        if args.command == "sweep":
-            chart_path = _chart_path(args)
-            gpus_list = parse_range_spec(args.gpus)
-            table, summary, all_no_progress = cmd_sweep(config, gpus_list)
-            _write_output(table.to_csv(), args.out)
-            if chart_path and all_no_progress:
-                summary += "no chart written: every cell is NoProgress\n"
-            elif chart_path:
-                _write_output(sweep_chart(table), chart_path)
-            sys.stderr.write(summary)
-            return 2 if all_no_progress else 0
-
-        if args.command == "project":
-            chart_path = _chart_path(args)
+            data, summary = cmd_cost(config, args.params, args.experts)
+        elif args.command == "sweep":
+            data, summary, all_no_progress = cmd_sweep(config, parse_range_spec(args.gpus))
+            code = 2 if all_no_progress else 0
+            chart = None if all_no_progress else sweep_chart
+        elif args.command == "project":
             years = parse_years_spec(args.years) if args.years else default_years(config)
-            scenarios = _select_scenarios(config, args.scenario)
-            table, summary = cmd_project(config, years, scenarios)
-            _write_output(table.to_csv(), args.out)
-            if chart_path:
-                _write_output(project_chart(table), chart_path)
-            sys.stderr.write(summary)
-            return 0
-
-        if args.command == "simulate":
+            data, summary = cmd_project(config, years, _select_scenarios(config, args.scenario))
+            chart = project_chart
+        elif args.command == "simulate":
             gpus_list = parse_range_spec(args.gpus)
             if len(gpus_list) != 1:
                 raise CliError("simulate takes a single --gpus count")
-            table, report = cmd_simulate(
-                config, gpus_list[0], args.seed, args.reps, args.workers
-            )
-            _write_output(table.to_csv(), args.out)
-            sys.stderr.write(report)
-            return 0
+            data, summary = cmd_simulate(config, gpus_list[0], args.seed, args.reps, args.workers)
+        else:
+            data, summary = cmd_report(config, args.seed, args.reps), ""
 
-        if args.command == "report":
-            _write_output(cmd_report(config, args.seed, args.reps), args.out)
-            return 0
-
-        raise CliError(f"unknown command {args.command!r}")
+        _write_output(data if isinstance(data, str) else data.to_csv(), args.out)
+        if chart_path and chart:
+            _write_output(chart(data), chart_path)
+        elif chart_path:  # only a sweep with every cell NoProgress has no chart
+            summary += "no chart written: every cell is NoProgress\n"
+        sys.stderr.write(summary)
+        return code
     except (CliError, ConfigError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

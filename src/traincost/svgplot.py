@@ -24,19 +24,20 @@ def _transform(value: float, lo: float, hi: float, log: bool) -> float:
     return (value - lo) / (hi - lo)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.2f}"
-
-
-def _tick_label(value: float) -> str:
-    return f"{value:.6g}"
+def _text(x: str, y: str, anchor: str | None, size: int, label, transform: str = "") -> str:
+    """One <text> element; x and y are written as given, anchor None omits it."""
+    anchor_attr = f' text-anchor="{anchor}"' if anchor else ""
+    return (
+        f'<text x="{x}" y="{y}"{anchor_attr} font-family="sans-serif" '
+        f'font-size="{size}"{transform}>{label}</text>'
+    )
 
 
 def line_chart(
     series: list[tuple[str, list[tuple[float, float]]]],
-    title: str = "",
-    x_label: str = "",
-    y_label: str = "",
+    title: str,
+    x_label: str,
+    y_label: str,
     log_x: bool = False,
     log_y: bool = False,
 ) -> str:
@@ -60,6 +61,9 @@ def line_chart(
 
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
+    left, right = f"{_MARGIN_LEFT:.2f}", f"{_MARGIN_LEFT + plot_w:.2f}"
+    x_ticks_y, y_ticks_x = f"{_HEIGHT - 36:.2f}", f"{_MARGIN_LEFT - 6:.2f}"
+    mid_y = f"{_MARGIN_TOP + plot_h / 2:.2f}"
 
     def px(x: float) -> float:
         return _MARGIN_LEFT + _transform(x, x_lo, x_hi, log_x) * plot_w
@@ -71,61 +75,26 @@ def line_chart(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH:.0f}" '
         f'height="{_HEIGHT:.0f}" viewBox="0 0 {_WIDTH:.0f} {_HEIGHT:.0f}">',
         '<rect width="100%" height="100%" fill="white"/>',
-        f'<rect x="{_fmt(_MARGIN_LEFT)}" y="{_fmt(_MARGIN_TOP)}" '
-        f'width="{_fmt(plot_w)}" height="{_fmt(plot_h)}" '
+        f'<rect x="{left}" y="{_MARGIN_TOP:.2f}" width="{plot_w:.2f}" height="{plot_h:.2f}" '
         'fill="none" stroke="#444444" stroke-width="1"/>',
+        _text(f"{_WIDTH / 2:.2f}", "24", "middle", 15, title),
+        _text(f"{_MARGIN_LEFT + plot_w / 2:.2f}", f"{_HEIGHT - 14:.2f}", "middle", 12, x_label),
+        _text("20.00", mid_y, "middle", 12, y_label, f' transform="rotate(-90 20.00 {mid_y})"'),
+        # Corner tick labels only; this is a sketch, not a publication figure.
+        _text(left, x_ticks_y, "middle", 11, f"{x_lo:.6g}"),
+        _text(right, x_ticks_y, "middle", 11, f"{x_hi:.6g}"),
+        _text(y_ticks_x, f"{_MARGIN_TOP + plot_h:.2f}", "end", 11, f"{y_lo:.6g}"),
+        _text(y_ticks_x, f"{_MARGIN_TOP + 10:.2f}", "end", 11, f"{y_hi:.6g}"),
     ]
-    if title:
-        out.append(
-            f'<text x="{_fmt(_WIDTH / 2)}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{title}</text>'
-        )
-    if x_label:
-        out.append(
-            f'<text x="{_fmt(_MARGIN_LEFT + plot_w / 2)}" y="{_fmt(_HEIGHT - 14)}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="12">{x_label}</text>'
-        )
-    if y_label:
-        cx, cy = 20.0, _MARGIN_TOP + plot_h / 2
-        out.append(
-            f'<text x="{_fmt(cx)}" y="{_fmt(cy)}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 {_fmt(cx)} {_fmt(cy)})">{y_label}</text>'
-        )
-
-    # Corner tick labels only; this is a sketch, not a publication figure.
-    out.append(
-        f'<text x="{_fmt(_MARGIN_LEFT)}" y="{_fmt(_HEIGHT - 36)}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="11">{_tick_label(x_lo)}</text>'
-    )
-    out.append(
-        f'<text x="{_fmt(_MARGIN_LEFT + plot_w)}" y="{_fmt(_HEIGHT - 36)}" '
-        f'text-anchor="middle" font-family="sans-serif" font-size="11">{_tick_label(x_hi)}</text>'
-    )
-    out.append(
-        f'<text x="{_fmt(_MARGIN_LEFT - 6)}" y="{_fmt(_MARGIN_TOP + plot_h)}" '
-        f'text-anchor="end" font-family="sans-serif" font-size="11">{_tick_label(y_lo)}</text>'
-    )
-    out.append(
-        f'<text x="{_fmt(_MARGIN_LEFT - 6)}" y="{_fmt(_MARGIN_TOP + 10)}" '
-        f'text-anchor="end" font-family="sans-serif" font-size="11">{_tick_label(y_hi)}</text>'
-    )
-
     for i, (name, pts) in enumerate(points_by_name):
         color = _PALETTE[i % len(_PALETTE)]
-        coords = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in pts)
-        out.append(
-            f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-        )
-        ly = _MARGIN_TOP + 16 + 16 * i
-        lx = _MARGIN_LEFT + 12
-        out.append(
-            f'<line x1="{_fmt(lx)}" y1="{_fmt(ly - 4)}" x2="{_fmt(lx + 18)}" '
-            f'y2="{_fmt(ly - 4)}" stroke="{color}" stroke-width="2"/>'
-        )
-        out.append(
-            f'<text x="{_fmt(lx + 24)}" y="{_fmt(ly)}" font-family="sans-serif" '
-            f'font-size="12">{name}</text>'
-        )
+        coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)
+        lx, ly = _MARGIN_LEFT + 12, _MARGIN_TOP + 16 + 16 * i
+        out += [
+            f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>',
+            f'<line x1="{lx:.2f}" y1="{ly - 4:.2f}" x2="{lx + 18:.2f}" y2="{ly - 4:.2f}" '
+            f'stroke="{color}" stroke-width="2"/>',
+            _text(f"{lx + 24:.2f}", f"{ly:.2f}", None, 12, name),
+        ]
     out.append("</svg>")
     return "\n".join(out) + "\n"
