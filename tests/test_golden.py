@@ -12,11 +12,11 @@ key mapped onto the wrong field changes a hash.
 """
 
 import hashlib
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
-from traincost import failure_sim
+from traincost import cli, failure_sim
 from traincost.cli import main
 from traincost.config import parse_config
 
@@ -104,6 +104,24 @@ SVG_PINS = [
      "c65a1d6a52e2eb95e5256f834cccec1e6a171e73720820dd4a856d0e821adbef"),
     ("", ["project", "--scenario", "best_case,best_guess,worst_case"],
      "aa27db89da01fb40c72b7cbdc14f4287461244f5876ae30c7208065ffd5313e0"),
+    # Every baseline cell NoProgress (see NO_RESULT_PINS): one series only.
+    ("", ["sweep", "--gpus", "131072:262144:3:geometric"],
+     "af5724e2e2e843698575014af1a24e3f425e960325fd8eebd59194f483d66b92"),
+]
+
+
+# Requests with a missing result, as (config, args, sha256). At 131k-262k
+# GPUs every baseline cell is NoProgress: its wall and cost cells are empty
+# and its series is absent from the chart (pinned in SVG_PINS). A
+# failure-free run of a 1e14-parameter model passes the simulated-time
+# horizon, so every replication is censored and its wall_h cell is empty.
+NO_RESULT_PINS = [
+    ("", ["sweep", "--gpus", "131072:262144:3:geometric"],
+     "929a8f4e5a5cfb122e55c4d3464581a225294f02a0e890979b4c25f0fa76e991"),
+    ("cluster: {gpu_mtbf_h: .inf, cpu_mtbf_h: .inf}\n"
+     "growth: {base_params: 1.0e14}\n",
+     ["simulate", "--reps", "2"],
+     "9496743ce2b6d72cb0a97b7aad03d93cb990f77b1421b040488b07c09ea5ab62"),
 ]
 
 
@@ -133,7 +151,8 @@ def test_degraded_output_pinned(capsys, tmp_path, config_text, args, digest):
 
 
 @pytest.mark.parametrize("config_text, args, digest", SVG_PINS,
-                         ids=["sweep", "every_key_sweep", "project"])
+                         ids=["sweep", "every_key_sweep", "project",
+                              "sweep_baseline_no_progress"])
 def test_chart_pinned(tmp_path, config_text, args, digest):
     if config_text:
         config = tmp_path / "config.yaml"
@@ -185,3 +204,18 @@ def test_philox_gaps_reproduce_former_pins(
         config.write_text(config_text)
         args = args + ["--config", str(config)]
     assert stdout_sha256(capsys, args) == digest
+
+
+@pytest.mark.parametrize("config_text, args, digest", NO_RESULT_PINS,
+                         ids=["sweep_baseline_no_progress", "simulate_censored"])
+def test_no_result_output_pinned(capsys, tmp_path, config_text, args, digest):
+    if config_text:
+        config = tmp_path / "config.yaml"
+        config.write_text(config_text)
+        args = args + ["--config", str(config)]
+    assert stdout_sha256(capsys, args) == digest
+
+
+def test_simulate_columns_follow_event_counts():
+    names = tuple(f.name for f in fields(failure_sim.EventCounts))
+    assert cli.SIMULATE_COLUMNS[2:] == names
