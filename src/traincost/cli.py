@@ -11,9 +11,8 @@ in the NoProgress regime, 3 on I/O failure.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 # failure_sim and svgplot are imported by the functions that use them, so
 # a request loads neither unless it simulates or draws a chart.
@@ -187,10 +186,7 @@ def cmd_sweep(config: ConfigFile, gpus_list: list[int]) -> tuple[CsvTable, str, 
         (
             n_gpus, name, float(model.params), model.experts, flops,
             run.mtti_h, run.mtti_eff_h, run.delta_h, run.tau_h, run.efficiency,
-            run.wall_h if run.ok else None,
-            run.gpu_hours if run.ok else None,
-            run.gpu_dollars if run.ok else None,
-            run.status,
+            run.wall_h, run.gpu_hours, run.gpu_dollars, run.status,
         )
         for n_gpus, name, run in results
     )
@@ -268,11 +264,7 @@ def cmd_simulate(
     )
     outcomes = failure_sim.collect_replications(sim_config, workers)
     result = failure_sim.summarize(outcomes)
-    rows = tuple(
-        (i, wall if math.isfinite(wall) else None,
-         counts.failures, counts.repairs, counts.checkpoints, counts.interrupts)
-        for i, (wall, counts) in enumerate(outcomes)
-    )
+    rows = tuple((i, wall, *astuple(counts)) for i, (wall, counts) in enumerate(outcomes))
     table = CsvTable(SIMULATE_COLUMNS, rows)
 
     verdict = failure_sim.analytic_verdict(sim_config, result, VALIDATION_TOLERANCE)
@@ -376,8 +368,7 @@ def sweep_chart(table: CsvTable) -> str:
     series = {}
     for row in table.rows:
         name, n_gpus, wall = row[1], row[0], row[10]
-        if wall is not None:
-            series.setdefault(name, []).append((float(n_gpus), float(wall)))
+        series.setdefault(name, []).append((float(n_gpus), wall))
     return svgplot.line_chart(
         sorted(series.items()),
         title="Time to train vs system size",

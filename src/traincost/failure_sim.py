@@ -45,7 +45,7 @@ import os
 import struct
 from collections import deque
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 from .cluster_model import ClusterSpec, ResilienceConfig, RunBreakdown, expected_runtime
 from .scaling_laws import ModelSpec, ScalingConstants
@@ -275,8 +275,7 @@ def _available_cpus() -> int:
 def _run_share(config: SimConfig, indices: range, write_fd: int) -> None:
     """In a forked child: marshal the outcomes of indices to write_fd, then exit.
 
-    Each outcome is a (wall_h, failures, repairs, checkpoints, interrupts)
-    tuple. os._exit keeps the child out of its parent's code, buffers and
+    Each outcome is a (wall_h, *EventCounts fields) tuple. os._exit keeps the child out of its parent's code, buffers and
     atexit handlers; an exception is printed to stderr and exits 1.
     """
     status = 1
@@ -284,9 +283,7 @@ def _run_share(config: SimConfig, indices: range, write_fd: int) -> None:
         outcomes = []
         for i in indices:
             wall, counts = simulate_run(config, i)
-            outcomes.append(
-                (wall, counts.failures, counts.repairs, counts.checkpoints, counts.interrupts)
-            )
+            outcomes.append((wall, *astuple(counts)))
         with open(write_fd, "wb") as pipe:
             marshal.dump(outcomes, pipe)
         status = 0
@@ -365,8 +362,8 @@ def run_ensemble(config: SimConfig, workers: int = 1) -> SimResult:
 def summarize(outcomes: list[tuple[float, EventCounts]]) -> SimResult:
     walls = tuple(wall for wall, _ in outcomes)
     n = len(walls)
+    mean = math.fsum(walls) / n  # inf when a replication was censored
     finite = all(math.isfinite(w) for w in walls)
-    mean = math.fsum(walls) / n if finite else math.inf
     if n > 1 and finite:
         import statistics
 

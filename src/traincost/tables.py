@@ -1,8 +1,9 @@
 """Fixed-contract CSV tables.
 
 Every subcommand emits a table with a fixed column set.  Numbers are
-serialized as round-trippable decimals (17 significant digits), missing
-values as empty cells; output bytes are a pure function of the rows.
+serialized as round-trippable decimals (17 significant digits) and
+non-finite numbers (a NoProgress or censored result) as empty cells;
+output bytes are a pure function of the rows.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from dataclasses import dataclass
 
 
 def format_cell(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, str):
         if "," in value or "\n" in value or '"' in value:
             raise ValueError(f"unsupported characters in CSV cell: {value!r}")

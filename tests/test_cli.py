@@ -24,6 +24,7 @@ from traincost.cli import (
 from traincost.cluster_model import expected_runtime, solve_hours
 from traincost.config import _FIELDS, ConfigFile, parse_config, serialize
 from traincost.scaling_laws import ModelSpec
+from traincost.tables import format_cell
 
 
 # Every market curve starts below the run cost, so both crossings are at year 0.0.
@@ -466,6 +467,14 @@ class TestReport:
         _, a, _ = run_cli(capsys, "report", "--reps", "2", "--seed", "5")
         _, b, _ = run_cli(capsys, "report", "--reps", "2", "--seed", "5")
         assert a == b
+
+
+def test_missing_results_are_non_finite_numbers():
+    # NoProgress and censored results reach the writer as inf; None is no cell.
+    assert format_cell(math.inf) == ""
+    assert format_cell(math.nan) == ""
+    with pytest.raises(TypeError):
+        format_cell(None)
 
 
 def test_csv_numbers_round_trip(capsys):
