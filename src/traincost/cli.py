@@ -131,10 +131,13 @@ def default_years(config: ConfigFile) -> list[int]:
 
 def _select_scenarios(config: ConfigFile, names_arg: str) -> list[Scenario]:
     scenarios = []
-    for name in names_arg.split(","):
-        name = name.strip()
+    names = [name.strip() for name in names_arg.split(",")]
+    for name in names:
+        if names.count(name) > 1:
+            raise CliError(f"scenario {name!r} is named more than once")
         if name == "custom":
-            scenarios.append(config.scenario)
+            # The config's own scenario, whatever preset it starts from.
+            scenarios.append(replace(config.scenario, name="custom"))
         elif name in SCENARIOS:
             scenarios.append(SCENARIOS[name])
         else:

@@ -212,6 +212,36 @@ class TestProject:
         assert code == 1
         assert "utopia" in err
 
+    def test_custom_scenario_is_labelled_custom(self, capsys, tmp_path):
+        # The config's scenario starts from the best_case preset but changes
+        # it, so its rows and crossing line must not read best_case.
+        config = tmp_path / "custom.yaml"
+        config.write_text("scenario: {name: best_case, experts_per_year: 2}\n")
+        code, out, err = run_cli(
+            capsys, "project", "--years", "2023:2024", "--scenario", "best_case,custom",
+            "--config", str(config),
+        )
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [r[0] for r in rows] == ["best_case", "best_case", "custom", "custom"]
+        assert rows[1][1:] != rows[3][1:]  # 2024: fewer experts added
+        assert err.startswith("best_case: crosses")
+        assert "\ncustom: crosses" in err
+
+    def test_default_config_custom_rows_read_custom(self, capsys):
+        code, out, _ = run_cli(capsys, "project", "--years", "2023:2024", "--scenario", "custom")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [r[0] for r in rows] == ["custom", "custom"]
+
+    @pytest.mark.parametrize("names", ["best_guess,best_guess", "custom, custom",
+                                       "best_case,custom,best_case"])
+    def test_scenario_named_twice(self, capsys, names):
+        code, out, err = run_cli(capsys, "project", "--scenario", names)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "more than once" in err
+
     def test_crossing_in_the_base_year_zero(self, capsys, tmp_path):
         # A crossing at year 0.0 is a crossing, not "never".
         config = tmp_path / "year_zero.yaml"
