@@ -489,6 +489,30 @@ class TestReport:
         assert "crosses the GPU installed-base curve around" in out
         assert "and IT spending never under" in out
 
+    @pytest.mark.parametrize("config_text, stalled", [
+        ("resilience: {ttr_h: 30}\n", "baseline strategy makes"),
+        ("resilience: {ft_f: 10, ckpt_mem_fraction: 0.1, ttr_h: 100}\n",
+         "optimized strategy makes"),
+        ("cluster: {gpu_mtbf_h: 1000}\n", "baseline and optimized strategies make"),
+    ], ids=["baseline", "optimized", "both"])
+    def test_narrative_names_the_strategy_without_progress(
+        self, capsys, tmp_path, config_text, stalled
+    ):
+        config = tmp_path / "stalled.yaml"
+        config.write_text(config_text)
+        code, out, _ = run_cli(capsys, "report", "--reps", "2", "--config", str(config))
+        assert code == 0
+        assert (
+            f"- the {stalled} no progress at 50k GPUs (NoProgress), "
+            "so no speed-up is given (~2x).\n"
+        ) in out
+        assert "x faster than baseline" not in out
+
+    def test_narrative_speed_up_when_both_finish(self):
+        assert "- optimized resilience is 1.85x faster than baseline at 50k GPUs (~2x).\n" in (
+            _narrative(ConfigFile())
+        )
+
     def test_narrative_crossing_in_the_base_year_zero(self):
         text = _narrative(parse_config(YEAR_ZERO_CONFIG))
         assert "crosses the GPU installed-base curve around 0.0 and IT spending around 0.0" in text
