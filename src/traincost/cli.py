@@ -131,9 +131,9 @@ def default_years(config: ConfigFile) -> list[int]:
 
 def _select_scenarios(config: ConfigFile, names_arg: str) -> list[Scenario]:
     scenarios = []
-    names = [name.strip() for name in names_arg.split(",")]
-    for name in names:
-        if names.count(name) > 1:
+    for name in names_arg.split(","):
+        name = name.strip()
+        if any(scenario.name == name for scenario in scenarios):
             raise CliError(f"scenario {name!r} is named more than once")
         if name == "custom":
             # The config's own scenario, whatever preset it starts from.

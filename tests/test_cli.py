@@ -228,12 +228,6 @@ class TestProject:
         assert err.startswith("best_case: crosses")
         assert "\ncustom: crosses" in err
 
-    def test_default_config_custom_rows_read_custom(self, capsys):
-        code, out, _ = run_cli(capsys, "project", "--years", "2023:2024", "--scenario", "custom")
-        assert code == 0
-        _, rows = parse_csv(out)
-        assert [r[0] for r in rows] == ["custom", "custom"]
-
     @pytest.mark.parametrize("names", ["best_guess,best_guess", "custom, custom",
                                        "best_case,custom,best_case"])
     def test_scenario_named_twice(self, capsys, names):
@@ -507,11 +501,6 @@ class TestReport:
             "so no speed-up is given (~2x).\n"
         ) in out
         assert "x faster than baseline" not in out
-
-    def test_narrative_speed_up_when_both_finish(self):
-        assert "- optimized resilience is 1.85x faster than baseline at 50k GPUs (~2x).\n" in (
-            _narrative(ConfigFile())
-        )
 
     def test_narrative_crossing_in_the_base_year_zero(self):
         text = _narrative(parse_config(YEAR_ZERO_CONFIG))
