@@ -275,8 +275,9 @@ def _available_cpus() -> int:
 def _run_share(config: SimConfig, indices: range, write_fd: int) -> None:
     """In a forked child: marshal the outcomes of indices to write_fd, then exit.
 
-    Each outcome is a (wall_h, *EventCounts fields) tuple. os._exit keeps the child out of its parent's code, buffers and
-    atexit handlers; an exception is printed to stderr and exits 1.
+    Each outcome is a (wall_h, *EventCounts fields) tuple. os._exit keeps
+    the child out of its parent's code, buffers and atexit handlers; an
+    exception is printed to stderr and exits 1.
     """
     status = 1
     try:
