@@ -16,7 +16,7 @@ from dataclasses import fields, replace
 
 import pytest
 
-from traincost import cli, failure_sim
+from traincost import cli, failure_sim, projection
 from traincost.cli import main
 from traincost.config import parse_config
 
@@ -77,6 +77,9 @@ EVERY_KEY_PINS = [
      "02c914ad5005fee76753619297803c5a5148a1710252d2a299f1f2ebe542a2f9"),
     (["project", "--scenario", "custom"],
      "bca0f3fd9030e0f440fca9fb9d1e08ba164aa7199ec5f2759dd9c5614ef89eb4"),
+    # A preset and the config's own scenario in one table.
+    (["project", "--scenario", "best_case,custom", "--years", "2024:2040"],
+     "94ae47fcb1e97cc1bf34b44f68dfdd3c68d3eaf676af004be1c0655d1b16618c"),
 ]
 
 
@@ -107,6 +110,9 @@ SVG_PINS = [
     # Every baseline cell NoProgress (see NO_RESULT_PINS): one series only.
     ("", ["sweep", "--gpus", "131072:262144:3:geometric"],
      "af5724e2e2e843698575014af1a24e3f425e960325fd8eebd59194f483d66b92"),
+    # Two scenarios, one of them custom, next to the market curves.
+    (EVERY_KEY_CONFIG, ["project", "--scenario", "best_case,custom", "--years", "2024:2040"],
+     "833372125e017cf5ebba3a607f3b21cff6732105d856849cf2dedb0c629178e8"),
 ]
 
 
@@ -135,7 +141,8 @@ def test_default_output_pinned(capsys, args, digest):
     assert stdout_sha256(capsys, args) == digest
 
 
-@pytest.mark.parametrize("args, digest", EVERY_KEY_PINS, ids=[a[0] for a, _ in EVERY_KEY_PINS])
+@pytest.mark.parametrize("args, digest", EVERY_KEY_PINS,
+                         ids=["sweep", "report", "project", "project_best_case_custom"])
 def test_every_key_output_pinned(capsys, tmp_path, args, digest):
     config = tmp_path / "every_key.yaml"
     config.write_text(EVERY_KEY_CONFIG)
@@ -152,7 +159,7 @@ def test_degraded_output_pinned(capsys, tmp_path, config_text, args, digest):
 
 @pytest.mark.parametrize("config_text, args, digest", SVG_PINS,
                          ids=["sweep", "every_key_sweep", "project",
-                              "sweep_baseline_no_progress"])
+                              "sweep_baseline_no_progress", "every_key_project_best_case_custom"])
 def test_chart_pinned(tmp_path, config_text, args, digest):
     if config_text:
         config = tmp_path / "config.yaml"
@@ -219,3 +226,8 @@ def test_no_result_output_pinned(capsys, tmp_path, config_text, args, digest):
 def test_simulate_columns_follow_event_counts():
     names = tuple(f.name for f in fields(failure_sim.EventCounts))
     assert cli.SIMULATE_COLUMNS[2:] == names
+
+
+def test_project_columns_follow_year_row():
+    names = tuple(f.name for f in fields(projection.YearRow))
+    assert cli.PROJECT_COLUMNS[1:] == names
