@@ -17,7 +17,7 @@ from dataclasses import astuple, replace
 # failure_sim and svgplot are imported by the functions that use them, so
 # a request loads neither unless it simulates or draws a chart.
 from . import cluster_model, projection
-from .cluster_model import ResilienceConfig, SweepVariant
+from .cluster_model import SweepVariant
 from .config import ConfigError, ConfigFile, load_config
 from .projection import SCENARIOS, Scenario
 from .scaling_laws import (
@@ -55,6 +55,13 @@ COST_COLUMNS = (
 SIMULATE_COLUMNS = (
     "replication", "wall_h", "failures", "repairs", "checkpoints", "interrupts",
 )
+# How --svg labels the series that sweep and project return.
+CHARTS = {
+    "sweep": dict(title="Time to train vs system size", x_label="GPUs",
+                  y_label="wall-clock hours", log_x=True, log_y=True),
+    "project": dict(title="Projected cost of one training run", x_label="year",
+                    y_label="USD", log_y=True),
+}
 
 
 class CliError(Exception):
@@ -148,13 +155,6 @@ def _select_scenarios(config: ConfigFile, names_arg: str) -> list[Scenario]:
     return scenarios
 
 
-def default_sweep_variants(resilience: ResilienceConfig) -> list[SweepVariant]:
-    return [
-        SweepVariant("baseline", resilience),
-        cluster_model.optimized_variant(resilience),
-    ]
-
-
 def cmd_cost(config: ConfigFile, params: float, experts: int) -> tuple[CsvTable, str]:
     """Ideal (failure-free) compute, GPU-hours and dollars for one model."""
     model = ModelSpec(params=params, experts=experts)
@@ -177,13 +177,18 @@ def cmd_cost(config: ConfigFile, params: float, experts: int) -> tuple[CsvTable,
     return table, summary
 
 
-def cmd_sweep(config: ConfigFile, gpus_list: list[int]) -> tuple[CsvTable, str, bool]:
-    """Time-to-train versus system size; returns (table, summary, all_no_progress)."""
+def cmd_sweep(config: ConfigFile, gpus_list: list[int]) -> tuple[CsvTable, str, list]:
+    """Time-to-train versus system size; returns (table, summary, series).
+
+    Each strategy's series, sorted by name, holds its (n_gpus, wall_h) cells
+    that make progress: a strategy stalled everywhere has an empty one.
+    """
     model = ModelSpec(config.growth.base_params, config.scenario.base_experts)
     flops = float(moe_training_flops(model, config.scaling))
+    res = config.resilience
+    variants = [SweepVariant("baseline", res), cluster_model.optimized_variant(res)]
     results = cluster_model.sweep_system_size(
-        model, config.scaling, config.cluster,
-        default_sweep_variants(config.resilience), gpus_list,
+        model, config.scaling, config.cluster, variants, gpus_list
     )
     rows = tuple(
         (
@@ -197,8 +202,10 @@ def cmd_sweep(config: ConfigFile, gpus_list: list[int]) -> tuple[CsvTable, str, 
     for n_gpus, name, run in results:
         by_name.setdefault(name, []).append((n_gpus, run))
     lines = []
+    series = []
     for name, cells in by_name.items():
         finite = [(run.wall_h, n_gpus) for n_gpus, run in cells if run.ok]
+        series.append((name, [(float(n_gpus), wall) for wall, n_gpus in finite]))
         stalled = [n_gpus for n_gpus, run in cells if not run.ok]
         reading = []
         if finite:
@@ -207,26 +214,25 @@ def cmd_sweep(config: ConfigFile, gpus_list: list[int]) -> tuple[CsvTable, str, 
         if stalled:
             reading.append(f"NoProgress from {stalled[0]} GPUs")
         lines.append(f"{name}: {'; '.join(reading)}\n")
-    all_no_progress = not any(run.ok for _, _, run in results)
-    return CsvTable(SWEEP_COLUMNS, rows), "".join(lines), all_no_progress
+    return CsvTable(SWEEP_COLUMNS, rows), "".join(lines), sorted(series)
 
 
 def cmd_project(
     config: ConfigFile, years: list[int], scenarios: list[Scenario]
-) -> tuple[CsvTable, str]:
-    """Yearly cost projection plus market-crossing summary."""
+) -> tuple[CsvTable, str, list]:
+    """Yearly cost projection plus market-crossing summary; returns (table, summary, series).
+
+    The series are each scenario's (year, gpu_cost_usd) sorted by name, then
+    the two market curves, which do not depend on the scenario.
+    """
     rates = config.cluster.rates
     rows = []
     lines = []
+    series = []
     for scenario in scenarios:
-        for row in projection.project_years(
-            years, config.growth, scenario, rates, config.market
-        ):
-            rows.append((
-                scenario.name, row.year, row.params, row.experts, row.flops,
-                row.gpu_hours, row.gpu_cost_usd, row.cloud_cost_usd,
-                row.gpu_base_usd, row.it_spend_usd,
-            ))
+        year_rows = projection.project_years(years, config.growth, scenario, rates, config.market)
+        rows += [(scenario.name, *astuple(row)) for row in year_rows]
+        series.append((scenario.name, [(float(r.year), r.gpu_cost_usd) for r in year_rows]))
         crossings = projection.intersection_year(
             config.growth, scenario, rates, config.market
         )
@@ -242,7 +248,10 @@ def cmd_project(
         lines.append(f"scenario spread (GPU-base crossing): {spread:.2f} years")
     except ValueError:
         lines.append("scenario spread: undefined (a scenario never crosses)")
-    return CsvTable(PROJECT_COLUMNS, tuple(rows)), "\n".join(lines) + "\n"
+    series.sort()
+    series.append(("gpu installed base", [(float(r.year), r.gpu_base_usd) for r in year_rows]))
+    series.append(("it spending", [(float(r.year), r.it_spend_usd) for r in year_rows]))
+    return CsvTable(PROJECT_COLUMNS, tuple(rows)), "\n".join(lines) + "\n", series
 
 
 def cmd_simulate(
@@ -301,7 +310,7 @@ def cmd_report(config: ConfigFile, seed: int, replications: int) -> str:
     sections.append("== time-to-train vs system size ==\n" + sweep_table.to_csv())
 
     scenarios = [SCENARIOS[n] for n in ("best_case", "best_guess", "worst_case")]
-    project_table, project_summary = cmd_project(config, default_years(config), scenarios)
+    project_table, project_summary, _ = cmd_project(config, default_years(config), scenarios)
     sections.append("== cost projection ==\n" + project_table.to_csv())
     sections.append("== market crossings ==\n" + project_summary)
 
@@ -355,61 +364,17 @@ def _narrative(config: ConfigFile) -> str:
 
 def _resilience_line(config: ConfigFile) -> str:
     """The optimized-over-baseline speed-up at 50k GPUs, or which strategy stalls."""
-    model = ModelSpec(config.growth.base_params, config.scenario.base_experts)
-    rows = cluster_model.sweep_system_size(
-        model, config.scaling, config.cluster,
-        default_sweep_variants(config.resilience), [DEFAULT_SIM_GPUS],
-    )
-    runs = {name: run for _, name, run in rows}
-    stalled = [name for name, run in runs.items() if not run.ok]
+    _, _, series = cmd_sweep(config, [DEFAULT_SIM_GPUS])
+    walls = {name: points[0][1] for name, points in series if points}
+    stalled = [name for name, points in series if not points]
     if stalled:
         verb = "strategies make" if len(stalled) > 1 else "strategy makes"
         return (
             f"- the {' and '.join(stalled)} {verb} no progress at 50k GPUs (NoProgress), "
             "so no speed-up is given (~2x)."
         )
-    ratio = runs["baseline"].wall_h / runs["optimized"].wall_h
+    ratio = walls["baseline"] / walls["optimized"]
     return f"- optimized resilience is {ratio:.2f}x faster than baseline at 50k GPUs (~2x)."
-
-
-def sweep_chart(table: CsvTable) -> str:
-    from . import svgplot
-
-    series = {}
-    for row in table.rows:
-        name, n_gpus, wall = row[1], row[0], row[10]
-        series.setdefault(name, []).append((float(n_gpus), wall))
-    return svgplot.line_chart(
-        sorted(series.items()),
-        title="Time to train vs system size",
-        x_label="GPUs",
-        y_label="wall-clock hours",
-        log_x=True,
-        log_y=True,
-    )
-
-
-def project_chart(table: CsvTable) -> str:
-    from . import svgplot
-
-    series = {}
-    market_gpu = {}
-    market_it = {}
-    for row in table.rows:
-        name, year, cost = row[0], row[1], row[6]
-        series.setdefault(name, []).append((float(year), float(cost)))
-        market_gpu[float(year)] = float(row[8])
-        market_it[float(year)] = float(row[9])
-    charted = sorted(series.items())
-    charted.append(("gpu installed base", sorted(market_gpu.items())))
-    charted.append(("it spending", sorted(market_it.items())))
-    return svgplot.line_chart(
-        charted,
-        title="Projected cost of one training run",
-        x_label="year",
-        y_label="USD",
-        log_y=True,
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -486,19 +451,18 @@ def main(argv: list[str] | None = None) -> int:
         config = load_config(args.config) if args.config else ConfigFile()
         chart_path = _chart_path(args)
         # Each command sets its data (a table, or the report text), its
-        # stderr summary, its exit code and the function that charts the
-        # table; the writes below are the same for every command.
-        code, chart = 0, None
+        # stderr summary and its exit code; sweep and project also set the
+        # series that CHARTS labels. The writes below are the same for every command.
+        code = 0
         if args.command == "cost":
             data, summary = cmd_cost(config, args.params, args.experts)
         elif args.command == "sweep":
-            data, summary, all_no_progress = cmd_sweep(config, parse_range_spec(args.gpus))
-            code = 2 if all_no_progress else 0
-            chart = None if all_no_progress else sweep_chart
+            data, summary, series = cmd_sweep(config, parse_range_spec(args.gpus))
+            code = 0 if any(points for _, points in series) else 2
         elif args.command == "project":
             years = parse_years_spec(args.years) if args.years else default_years(config)
-            data, summary = cmd_project(config, years, _select_scenarios(config, args.scenario))
-            chart = project_chart
+            scenarios = _select_scenarios(config, args.scenario)
+            data, summary, series = cmd_project(config, years, scenarios)
         elif args.command == "simulate":
             gpus_list = parse_range_spec(args.gpus)
             if len(gpus_list) != 1:
@@ -508,8 +472,10 @@ def main(argv: list[str] | None = None) -> int:
             data, summary = cmd_report(config, args.seed, args.reps), ""
 
         _write_output(data if isinstance(data, str) else data.to_csv(), args.out)
-        if chart_path and chart:
-            _write_output(chart(data), chart_path)
+        if chart_path and code == 0:
+            from . import svgplot
+
+            _write_output(svgplot.line_chart(series, **CHARTS[args.command]), chart_path)
         elif chart_path:  # only a sweep with every cell NoProgress has no chart
             summary += "no chart written: every cell is NoProgress\n"
         sys.stderr.write(summary)
