@@ -242,6 +242,8 @@ def runtime_from_solve(
     if not math.isfinite(delta):
         raise ValueError("checkpoint write time is not finite")
     tau = optimal_checkpoint_interval(delta, m_eff, solve_h)
+    if not tau > 0:
+        raise ValueError("checkpoint interval underflows to zero")
     ckpt_overhead = checkpoint_count(solve_h, tau) * delta
 
     # Expected loss per interrupt (half a segment of rework plus recovery)

@@ -388,17 +388,17 @@ def analytic_verdict(
 ) -> ValidationReport:
     """Judge a summarized ensemble against the closed form's expectation.
 
-    A finite analytic wall-clock passes when the simulated mean is within
-    tolerance of it, relative to the analytic value. A NoProgress analytic
-    verdict has no relative error (nan); it passes only if the simulated
-    mean also exceeds the horizon MAX_WALL_H, that is, only if some
-    replication was censored.
+    An analytic wall-clock within the horizon MAX_WALL_H passes when the
+    simulated mean is within tolerance of it, relative to the analytic value.
+    Past the horizon (NoProgress included) there is no relative error (nan);
+    the verdict passes only if the simulated mean also exceeds the horizon,
+    that is, only if some replication was censored.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be > 0")
     run, mean = config.run, result.mean_wall_h
-    if not run.ok:
-        return ValidationReport(math.inf, mean, math.nan, mean > MAX_WALL_H)
+    if not run.wall_h <= MAX_WALL_H:
+        return ValidationReport(run.wall_h, mean, math.nan, mean > MAX_WALL_H)
     rel = abs(run.wall_h - mean) / run.wall_h
     return ValidationReport(run.wall_h, mean, rel, rel <= tolerance)
 

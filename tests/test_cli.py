@@ -174,6 +174,21 @@ class TestSweep:
         assert out == ""
         assert err == "error: checkpoint write time is not finite\n"
 
+    # A tiny checkpoint and MTBF make sqrt(2 * delta * M_eff) underflow to 0.0,
+    # whatever the restart time.
+    @pytest.mark.parametrize("resilience", ["", "resilience:\n  ttr_h: 0\n"],
+                             ids=["default_ttr", "zero_ttr"])
+    @pytest.mark.parametrize("args", [["sweep"], ["simulate", "--reps", "2"]],
+                             ids=["sweep", "simulate"])
+    def test_underflowing_checkpoint_interval_is_config_error(
+        self, capsys, tmp_path, args, resilience
+    ):
+        cfg = tmp_path / "underflow.yaml"
+        cfg.write_text("cluster:\n  gpu_mem_gb: 1.8e-307\n  gpu_mtbf_h: 1e-17\n" + resilience)
+        code, out, err = run_cli(capsys, *args, "--gpus", "1024", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err == "error: checkpoint interval underflows to zero\n"
+
     def test_reading_names_stalls_and_fastest_point(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--gpus", "131072:262144:3:geometric")
         assert code == 0
@@ -365,6 +380,17 @@ class TestSimulateVerdict:
         word = "within" if verdict.passed else "OUTSIDE"
         assert f"relative error: {verdict.relative_error:.4g} ({word} " in report
         assert f"relative error: {expected} " in report
+
+    def test_censored_run_past_a_finite_closed_form_passes(self, capsys, tmp_path):
+        # Failure-free, the closed form is 1.089e7 h, past the 1e7 h horizon,
+        # so both replications are censored: judged like NoProgress.
+        cfg = tmp_path / "censored.yaml"
+        cfg.write_text("cluster: {gpu_mtbf_h: .inf, cpu_mtbf_h: .inf}\n"
+                       "growth: {base_params: 1.0e14}\n")
+        code, _, err = run_cli(capsys, "simulate", "--reps", "2", "--config", str(cfg))
+        assert code == 0
+        assert "analytic wall-clock: 1.089e+07 h\n" in err
+        assert "relative error: nan (within 20% tolerance)\n" in err
 
 
 class TestHugeCounts:

@@ -590,6 +590,17 @@ class TestValidation:
         assert f"{verdict.relative_error:.4g}" == relative_error
         assert verdict.simulated_mean_h == wall
 
+    # Under a 1,000 h horizon the reference closed form (2,039 h) is past it:
+    # no relative error, and a pass only if a replication was censored.
+    @pytest.mark.parametrize("wall, passed", [(math.inf, True), (900.0, False)])
+    def test_verdict_past_the_horizon(self, monkeypatch, wall, passed):
+        monkeypatch.setattr(failure_sim, "MAX_WALL_H", 1_000.0)
+        config = reference_config(replications=2)
+        verdict = analytic_verdict(config, summarize([(wall, EventCounts())] * 2), tolerance=0.20)
+        assert round(verdict.analytic_h) == 2_039
+        assert math.isnan(verdict.relative_error)
+        assert verdict.passed is passed
+
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):
             SimConfig(model=reference_model(), cluster=CLUSTER_50K, replications=0)
