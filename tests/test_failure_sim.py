@@ -577,29 +577,25 @@ class TestValidation:
         with pytest.raises(ValueError):
             validate_analytic(reference_config(replications=1), tolerance=0.0)
 
-    @pytest.mark.parametrize("n_gpus, wall, relative_error, passed", [
-        (131_072, 5000.0, "nan", False),  # NoProgress, but the run finished
-        (131_072, math.inf, "nan", True),  # NoProgress and censored
-        (50_000, math.inf, "inf", False),  # finite closed form, censored run
-    ])
-    def test_verdict_rules(self, n_gpus, wall, relative_error, passed):
+    # The reference closed form at 50,000 GPUs is 2,039 h: within the 1e7 h
+    # horizon, and past a 1,000 h one, where it is judged like NoProgress.
+    @pytest.mark.parametrize("n_gpus, wall, relative_error, passed, horizon", [
+        (131_072, 5000.0, "nan", False, 1e7),  # NoProgress, but the run finished
+        (131_072, math.inf, "nan", True, 1e7),  # NoProgress and censored
+        (50_000, math.inf, "inf", False, 1e7),  # finite closed form, censored run
+        (50_000, math.inf, "nan", True, 1_000.0),  # past the horizon and censored
+        (50_000, 900.0, "nan", False, 1_000.0),  # past the horizon, but the run finished
+    ], ids=["131072-5000.0-nan-False", "131072-inf-nan-True", "50000-inf-inf-False",
+            "past_horizon-censored", "past_horizon-finished"])
+    def test_verdict_rules(self, monkeypatch, n_gpus, wall, relative_error, passed, horizon):
+        monkeypatch.setattr(failure_sim, "MAX_WALL_H", horizon)
         config = reference_config(cluster=ClusterSpec(n_gpus=n_gpus), replications=2)
         result = summarize([(wall, EventCounts())] * 2)
         verdict = analytic_verdict(config, result, tolerance=0.20)
         assert verdict.passed is passed
         assert f"{verdict.relative_error:.4g}" == relative_error
         assert verdict.simulated_mean_h == wall
-
-    # Under a 1,000 h horizon the reference closed form (2,039 h) is past it:
-    # no relative error, and a pass only if a replication was censored.
-    @pytest.mark.parametrize("wall, passed", [(math.inf, True), (900.0, False)])
-    def test_verdict_past_the_horizon(self, monkeypatch, wall, passed):
-        monkeypatch.setattr(failure_sim, "MAX_WALL_H", 1_000.0)
-        config = reference_config(replications=2)
-        verdict = analytic_verdict(config, summarize([(wall, EventCounts())] * 2), tolerance=0.20)
-        assert round(verdict.analytic_h) == 2_039
-        assert math.isnan(verdict.relative_error)
-        assert verdict.passed is passed
+        assert verdict.analytic_h == config.run.wall_h
 
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):
