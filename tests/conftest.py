@@ -44,3 +44,32 @@ def philox_rng():
         return np.random.Generator(np.random.Philox(key=key))
 
     return rng
+
+
+@pytest.fixture
+def shake_gaps():
+    """The gap stream tagged "shake256-exp", decoded as the simulator once did.
+
+    Block b of replication (seed, index) was shake_256 of the little-endian
+    words (seed, index, b), read as 256 little-endian 64-bit words; a word w
+    gave the standard-exponential gap -log(1 - (w >> 11) * 2**-53). Tests
+    feed it back in to show that output changed only through the stream.
+    """
+    import hashlib
+    import itertools
+    import math
+    import struct
+
+    block = 256
+    words = struct.Struct(f"<{block}Q").unpack
+
+    def gaps(seed: int, index: int):
+        log = math.log
+        for b in itertools.count():
+            key = struct.pack("<QQQ", seed, index, b)
+            yield from [
+                -log(1.0 - (word >> 11) * 2.0**-53)
+                for word in words(hashlib.shake_256(key).digest(8 * block))
+            ]
+
+    return gaps

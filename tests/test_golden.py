@@ -213,6 +213,43 @@ def test_philox_gaps_reproduce_former_pins(
     assert stdout_sha256(capsys, args) == digest
 
 
+# The stream-dependent pins as taken under "shake256-exp", whose gaps were
+# decoded from shake_256 blocks keyed (seed, replication, block).
+SHAKE_PINS = [
+    (["simulate", "--seed", "42", "--reps", "40"], "",
+     "1056ebfbb8567987b8691b6d587aba1ff78ce4614a06bb4cd6eee726eb02f277"),
+    (["report", "--reps", "40"], "",
+     "7ea843ad411c365769d5d9193b1fa52b14def184a75aa98381a9bb2c302fa6f7"),
+    (["report", "--reps", "40"], EVERY_KEY_CONFIG,
+     "02c914ad5005fee76753619297803c5a5148a1710252d2a299f1f2ebe542a2f9"),
+    (DEGRADED_PINS[0][1], DEGRADED_PINS[0][0],
+     "cf42da7822624115c68ce79805a56b8d5bd4872f5c9e343e7c5981de4ec5e7f5"),
+    (DEGRADED_PINS[1][1], DEGRADED_PINS[1][0],
+     "5de7519fd394a8825d2403414a8c43e5ea8f461e4bd7c8d5650cfecd41d1fddf"),
+]
+
+
+@pytest.mark.parametrize("args, config_text, digest", SHAKE_PINS,
+                         ids=["simulate", "report", "every_key_report",
+                              "degraded", "all_groups_down"])
+def test_shake_gaps_reproduce_former_pins(
+    monkeypatch, capsys, tmp_path, shake_gaps, args, config_text, digest
+):
+    # As for Philox above: the former stream under its former tag gives the
+    # former bytes, so a later change of stream changed only the stream.
+    monkeypatch.setattr(failure_sim, "_replication_gaps", shake_gaps)
+    summarize = failure_sim.summarize
+    monkeypatch.setattr(
+        failure_sim, "summarize",
+        lambda outcomes: replace(summarize(outcomes), generator="shake256-exp"),
+    )
+    if config_text:
+        config = tmp_path / "config.yaml"
+        config.write_text(config_text)
+        args = args + ["--config", str(config)]
+    assert stdout_sha256(capsys, args) == digest
+
+
 @pytest.mark.parametrize("config_text, args, digest", NO_RESULT_PINS,
                          ids=["sweep_baseline_no_progress", "simulate_censored"])
 def test_no_result_output_pinned(capsys, tmp_path, config_text, args, digest):
