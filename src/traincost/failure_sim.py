@@ -29,19 +29,20 @@ Event semantics
   process is memoryless, so it is redrawn afterwards).
 * The run ends when progress reaches the work target W.
 
-Randomness is counter-based (Salmon et al., "Parallel random numbers: as
-easy as 1, 2, 3", SC'11): replication r of a run seeded s reads its
-failure gaps from shake_256 of the key (s, r, block), so the n-th draw is
-a pure function of (s, r, n) and results do not depend on scheduling or
-evaluation order. The standard library supplies it.
+Randomness is keyed per replication: replication r of a run seeded s
+reads its failure gaps from a Mersenne Twister (MT19937; Matsumoto and
+Nishimura, ACM TOMACS 8(1), 1998) seeded with the key (s, r), so the n-th
+draw is a pure function of (s, r, n) and results do not depend on
+scheduling or evaluation order. The standard library's random.Random
+supplies it.
 """
 
 from __future__ import annotations
 
-import itertools
 import marshal
 import math
 import os
+import random
 import struct
 from collections import deque
 from collections.abc import Iterator
@@ -54,13 +55,7 @@ from .tables import CsvTable
 # tests/test_golden.py pins this tag and the sha256 of simulate and report
 # output, which depends on the gap stream of _replication_gaps: a change to
 # the stream must bump this tag and those hashes together.
-GENERATOR_NAME = "shake256-exp"
-
-# 64-bit words per hashed block of failure gaps. Part of the stream: another
-# size changes every draw past the first block. 256 covers a degraded-mode
-# replication (~250 failures) with one block; on interrupt-bound runs
-# (~4,000 failures) it timed within noise of 512 and 1,024 per draw.
-BLOCK = 256
+GENERATOR_NAME = "mt19937-exp"
 
 TRACE_COLUMNS = ("time_h", "kind", "groups_down")
 
@@ -127,23 +122,16 @@ class ValidationReport:
 def _replication_gaps(seed: int, replication_index: int) -> Iterator[float]:
     """Standard-exponential gaps for one replication, by inversion.
 
-    Block b is shake_256 of the little-endian words (seed, replication_index,
-    b), read as BLOCK little-endian 64-bit words. A word w gives
-    -log(1 - u) with u = (w >> 11) * 2**-53 in [0, 1), so the logarithm's
-    argument is never 0 and every step is exact up to the log.
+    A random.Random is seeded with the little-endian words (seed,
+    replication_index); version-2 seeding mixes those bytes through SHA-512,
+    and CPython keeps random()'s sequence for a given seed across versions.
+    Each gap is -log(1 - u) for u = random() = k * 2**-53 in [0, 1), so the
+    logarithm's argument is never 0 and every step is exact up to the log.
     """
-    # hashlib is imported here, not at module level: it loads OpenSSL, which
-    # requests that never simulate (cost, sweep, project) should not pay for.
-    import hashlib
-
-    words = struct.Struct(f"<{BLOCK}Q").unpack
+    draw = random.Random(struct.pack("<QQ", seed, replication_index)).random
     log = math.log
-    for block in itertools.count():
-        key = struct.pack("<QQQ", seed, replication_index, block)
-        yield from [
-            -log(1.0 - (word >> 11) * 2.0**-53)
-            for word in words(hashlib.shake_256(key).digest(8 * BLOCK))
-        ]
+    while True:
+        yield -log(1.0 - draw())
 
 
 def _run_events(
@@ -332,10 +320,11 @@ def collect_replications(
 
     With w = min(workers, replications, available CPUs) above 1, w children
     are forked and child k runs replications k, k + w, k + 2w, ... This
-    process runs none of them, so it never draws a gap or loads hashlib.
+    process runs none of them, so it never draws a gap.
     Running a share here as well was measured and rejected: at --workers 2
     and 150k GPUs it was no faster (8 of 16 pairs) and peak RSS rose from
-    18.1 to 20.5 MB, on 200 degraded-mode and on 8 F=0 replications alike.
+    18.1 to 20.5 MB, on 200 degraded-mode and on 8 F=0 replications alike
+    (with SHAKE-256 gaps, whose OpenSSL the parent then loaded too).
     With one worker, or where os.fork does not exist, every replication runs
     here. A child that fails raises RuntimeError naming it. Output is
     independent of the worker count because every replication's random

@@ -4,6 +4,7 @@ import math
 import os
 import pickle
 import statistics
+import struct
 import textwrap
 from collections import deque
 from collections.abc import Iterator
@@ -25,7 +26,6 @@ from traincost.cluster_model import (
 )
 from traincost.config import ConfigFile
 from traincost.failure_sim import (
-    BLOCK,
     EVENT_CKPT_END,
     EVENT_CKPT_START,
     EVENT_DONE,
@@ -147,6 +147,8 @@ class TestWorkerBound:
     def test_children_leave_parent_buffers_and_exit_handlers_alone(self, fresh_python):
         # stdout is a pipe here, so the text is still in the parent's buffer
         # when the children fork; each must come out once, from the parent.
+        # The children run every replication, so the parent opens no stream
+        # of gaps: the list of keys it opened stays empty.
         out = fresh_python(textwrap.dedent("""
             import atexit, sys
             from traincost import failure_sim
@@ -154,14 +156,16 @@ class TestWorkerBound:
             from traincost.scaling_laws import ModelSpec
 
             failure_sim._available_cpus = lambda: 2
+            opened, gaps = [], failure_sim._replication_gaps
+            failure_sim._replication_gaps = lambda *key: opened.append(key) or gaps(*key)
             config = failure_sim.SimConfig(
                 model=ModelSpec(1e12, 8), cluster=ClusterSpec(n_gpus=50_000), replications=4)
             sys.stdout.write("unflushed;")
             atexit.register(print, "atexit;", end="")
             result = failure_sim.run_ensemble(config, workers=2)
-            print(len(result.wall_h), "hashlib" in sys.modules, end=";")
+            print(len(result.wall_h), opened, end=";")
         """))
-        assert out == "unflushed;4 False;atexit;"
+        assert out == "unflushed;4 [];atexit;"
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_below_one_rejected(self, workers):
@@ -380,15 +384,28 @@ class TestGapStream:
     def draws(self, seed, index, n=DRAWS):
         return list(itertools.islice(_replication_gaps(seed, index), n))
 
-    @pytest.mark.parametrize("key, first, second, block_start", [
-        ((0, 0), "0x1.cbf1cdd4c69d6p-3", "0x1.703c4de21e378p-2", "0x1.567cdfb6e7ba9p+0"),
+    @pytest.mark.parametrize("key, first, second, thousandth", [
+        ((0, 0), "0x1.993627df9b4b2p-1", "0x1.408bc1d10e965p+1", "0x1.d1b05256d2e37p+0"),
         ((2**64 - 1, 2**64 - 1),
-         "0x1.04d566a476f17p-3", "0x1.bda7d35c6659fp-3", "0x1.9e9d700b51b85p-3"),
+         "0x1.b9f25a95b0c8fp+0", "0x1.4e9ba6d8f4a08p-1", "0x1.02de7f10f2e7ap-2"),
     ], ids=["zero_key", "max_key"])
-    def test_known_answers(self, key, first, second, block_start):
-        # The first two draws and the first draw of the second block.
-        gaps = self.draws(*key, n=BLOCK + 1)
-        assert [gaps[0].hex(), gaps[1].hex(), gaps[BLOCK].hex()] == [first, second, block_start]
+    def test_known_answers(self, key, first, second, thousandth):
+        # Draws 0, 1 and 1,000, the last from a later refill of the 624-word state.
+        gaps = self.draws(*key, n=1001)
+        assert [gaps[0].hex(), gaps[1].hex(), gaps[1000].hex()] == [first, second, thousandth]
+
+    @pytest.mark.parametrize("key", [(0, 0), (2024, 7), (2**64 - 1, 2**64 - 1)])
+    def test_draws_follow_mt19937_init_by_array(self, key):
+        # numpy's legacy MT19937, seeded by init_by_array with the 32-bit
+        # words of the seed integer that random.seed builds from the key
+        # bytes (key + sha512(key), big-endian), gives the same uniforms.
+        import numpy as np
+
+        key_bytes = struct.pack("<QQ", *key)
+        number = int.from_bytes(key_bytes + hashlib.sha512(key_bytes).digest(), "big")
+        words = [(number >> shift) & 0xFFFFFFFF for shift in range(0, number.bit_length(), 32)]
+        uniforms = np.random.RandomState(np.array(words, dtype=np.uint32)).random_sample(1001)
+        assert self.draws(*key, n=1001) == [-math.log(1.0 - u) for u in uniforms.tolist()]
 
     def test_standard_exponential_by_kolmogorov_smirnov(self):
         n = self.DRAWS
@@ -396,11 +413,28 @@ class TestGapStream:
         d = max(max((i + 1) / n - f, f - i / n) for i, f in enumerate(cdf))
         assert d < 1.628 / math.sqrt(n)  # the 1% critical value
 
-    @pytest.mark.parametrize("neighbour", [(2025, 7), (2024, 8)],
-                             ids=["next_seed", "next_replication"])
-    def test_adjacent_keys_uncorrelated(self, neighbour):
-        r = statistics.correlation(self.draws(2024, 7), self.draws(*neighbour))
-        assert abs(r) < 2.576 / math.sqrt(self.DRAWS)  # two-sided 1% bound
+    def test_adjacent_keys_uncorrelated(self):
+        # Each key in a 10 x 10 grid of seeds and replications around
+        # (2024, 7) is paired with its next seed and its next replication:
+        # 180 pairs. For independent streams z = r * sqrt(n) is close to
+        # standard normal, so the sum of z**2 is chi-square with 180 degrees
+        # of freedom and the count of |z| > 2.576 is binomial(180, 1%). The
+        # bounds are the 0.05% and 99.95% points of the first and the 99.95%
+        # point of the second, so an independent generator fails this test
+        # with probability below 0.15%; any one pair alone fails its 1%
+        # bound once in a hundred.
+        n = 5_000
+        keys = [(seed, index) for seed in range(2024, 2034) for index in range(7, 17)]
+        draws = {key: self.draws(*key, n=n) for key in keys}
+        z = [
+            statistics.correlation(draws[seed, index], draws[neighbour]) * math.sqrt(n)
+            for seed, index in keys
+            for neighbour in ((seed + 1, index), (seed, index + 1))
+            if neighbour in draws
+        ]
+        assert len(z) == 180
+        assert 124.03 < math.fsum(x * x for x in z) < 249.05
+        assert sum(abs(x) > 2.576 for x in z) <= 7
 
     @pytest.mark.parametrize("groups", [3, 8])
     def test_one_gap_per_failure_plus_one(self, groups):
@@ -477,9 +511,12 @@ class TestOracleAgreement:
         assert report.relative_error <= 1e-12
 
     def test_no_progress_analytic_needs_censored_simulation(self, monkeypatch):
-        monkeypatch.setattr(failure_sim, "MAX_WALL_H", 4000.0)
+        # A horizon below the failure-free solve time censors every
+        # replication, whatever the gaps.
+        monkeypatch.setattr(failure_sim, "MAX_WALL_H", 300.0)
         cluster = ClusterSpec(n_gpus=131_072)
         config = reference_config(cluster=cluster, replications=3)
+        assert config.run.solve_h > failure_sim.MAX_WALL_H
         analytic = expected_runtime(config.model, CONSTANTS, cluster, BASELINE)
         assert not analytic.ok
         report = validate_analytic(config, tolerance=0.20)
