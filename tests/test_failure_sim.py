@@ -413,28 +413,28 @@ class TestGapStream:
         d = max(max((i + 1) / n - f, f - i / n) for i, f in enumerate(cdf))
         assert d < 1.628 / math.sqrt(n)  # the 1% critical value
 
-    def test_adjacent_keys_uncorrelated(self):
+    @pytest.mark.parametrize("step", [(1, 0), (0, 1)], ids=["next_seed", "next_replication"])
+    def test_adjacent_keys_uncorrelated(self, step):
         # Each key in a 10 x 10 grid of seeds and replications around
-        # (2024, 7) is paired with its next seed and its next replication:
-        # 180 pairs. For independent streams z = r * sqrt(n) is close to
-        # standard normal, so the sum of z**2 is chi-square with 180 degrees
-        # of freedom and the count of |z| > 2.576 is binomial(180, 1%). The
-        # bounds are the 0.05% and 99.95% points of the first and the 99.95%
-        # point of the second, so an independent generator fails this test
-        # with probability below 0.15%; any one pair alone fails its 1%
-        # bound once in a hundred.
+        # (2024, 7) is paired with its neighbour one step along: 90 pairs,
+        # (2024, 7) and its neighbour among them. For independent streams
+        # z = r * sqrt(n) is close to standard normal, so the sum of z**2 is
+        # chi-square with 90 degrees of freedom and the count of |z| > 2.576
+        # is binomial(90, 1%). The bounds are the 0.05% and 99.95% points of
+        # the first and the 99.97% point of the second, so an independent
+        # generator fails each case with probability below 0.15%; any one
+        # pair alone fails its 1% bound once in a hundred.
         n = 5_000
         keys = [(seed, index) for seed in range(2024, 2034) for index in range(7, 17)]
         draws = {key: self.draws(*key, n=n) for key in keys}
         z = [
             statistics.correlation(draws[seed, index], draws[neighbour]) * math.sqrt(n)
             for seed, index in keys
-            for neighbour in ((seed + 1, index), (seed, index + 1))
-            if neighbour in draws
+            if (neighbour := (seed + step[0], index + step[1])) in draws
         ]
-        assert len(z) == 180
-        assert 124.03 < math.fsum(x * x for x in z) < 249.05
-        assert sum(abs(x) > 2.576 for x in z) <= 7
+        assert len(z) == 90
+        assert 52.28 < math.fsum(x * x for x in z) < 140.78
+        assert sum(abs(x) > 2.576 for x in z) <= 5
 
     @pytest.mark.parametrize("groups", [3, 8])
     def test_one_gap_per_failure_plus_one(self, groups):
