@@ -29,6 +29,22 @@ Event semantics
   process is memoryless, so it is redrawn afterwards).
 * The run ends when progress reaches the work target W.
 
+_run_events is the general loop and the reference. Untraced runs at F=0,
+the paper's baseline, take _run_f0_events instead, which returns the same
+(wall_h, counts) bit for bit. At F=0 the first failure interrupts and the
+restart clears the repair queue, so no group is ever down: there is no
+queue, the rate is always 1.0 (the general loop's x / 1.0 and x * 1.0 are
+exact, so dropping them changes no bit) and progress stands at the last
+checkpoint whenever a work stretch starts. One pass then covers a failure
+or a work stretch with its checkpoint write. It reads the same gaps and
+does the same float operations, in the same order, on every value that
+reaches the result; the general loop's accrual in a stretch that a failure
+cuts short is overwritten by the rollback, so it is skipped.
+
+SimConfig refuses a run that could need more than MAX_CHECKPOINTS
+checkpoint writes in one replication. The number of failures before the
+horizon is not bounded yet.
+
 Randomness is keyed per replication: replication r of a run seeded s
 reads its failure gaps from a Mersenne Twister (MT19937; Matsumoto and
 Nishimura, ACM TOMACS 8(1), 1998) seeded with the key (s, r), so the n-th
@@ -70,6 +86,12 @@ EVENT_DONE = "DONE"
 # Simulated-time ceiling; runs that exceed it are censored to inf.
 MAX_WALL_H = 1e7
 
+# Most checkpoint writes a replication may need. A completed write is never
+# rolled back past and takes tau_h + delta_h of simulated time, so a
+# replication completes at most min(solve_h / tau_h, MAX_WALL_H / (tau_h +
+# delta_h)) writes; SimConfig rejects a run whose bound exceeds this.
+MAX_CHECKPOINTS = 10**7
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -89,6 +111,12 @@ class SimConfig:
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         run = expected_runtime(self.model, self.constants, self.cluster, self.resilience)
+        writes = min(run.solve_h / run.tau_h, MAX_WALL_H / (run.tau_h + run.delta_h))
+        if writes > MAX_CHECKPOINTS:
+            raise ValueError(
+                f"checkpoint interval {run.tau_h:.3g} h needs up to {writes:.3g} "
+                f"checkpoint writes per replication, more than {MAX_CHECKPOINTS}"
+            )
         object.__setattr__(self, "run", run)
 
 
@@ -235,6 +263,57 @@ def _run_events(
             next_fail = t + mtti * draw() if failing else inf
 
 
+def _run_f0_events(
+    run: RunBreakdown,
+    resilience: ResilienceConfig,
+    gaps: Iterator[float],
+    max_wall_h: float,
+) -> tuple[float, EventCounts]:
+    """_run_events at F=0 without a trace: same gaps, same (wall_h, counts).
+
+    Every failure interrupts, so no group is ever down, progress runs at
+    rate 1.0 and stands at the last checkpoint whenever a work stretch
+    starts. Each pass is one failure (rollback plus restart) or one work
+    stretch, which also finishes its checkpoint write when the next failure
+    comes no earlier than the write's end. Work and write ends win ties,
+    and each horizon check sits where _run_events censors.
+    """
+    work, tau, delta, mtti = run.solve_h, run.tau_h, run.delta_h, run.mtti_h
+    ttr = resilience.ttr_h
+    draw = gaps.__next__
+    t = 0.0
+    ckpt = 0.0  # progress at the last completed checkpoint
+    failures = checkpoints = 0
+    next_fail = t + mtti * draw() if math.isfinite(mtti) else math.inf
+
+    while True:
+        target = ckpt + tau
+        if work < target:
+            target = work
+        t_work = t + (target - ckpt)
+        if t_work <= next_fail:
+            if t_work > max_wall_h:
+                break
+            if target >= work:
+                return t_work, EventCounts(failures, 0, checkpoints, failures)
+            t_end = t_work + delta
+            if t_end <= next_fail:
+                if t_end > max_wall_h:
+                    break
+                t = t_end
+                ckpt = target
+                checkpoints += 1
+                continue
+        # A failure comes first, during the work or the write. Past the
+        # check below it is within the horizon, so the MTTI is finite.
+        if next_fail > max_wall_h:
+            break
+        failures += 1
+        t = next_fail + ttr
+        next_fail = t + mtti * draw()
+    return math.inf, EventCounts(failures, 0, checkpoints, failures)
+
+
 def simulate_run(
     config: SimConfig, replication_index: int, trace: list | None = None
 ) -> tuple[float, EventCounts]:
@@ -242,10 +321,13 @@ def simulate_run(
 
     When trace is a list, one (time_h, kind, groups_down) record per event
     is appended to it, with the number of groups down after the event.
+    Untraced F=0 runs take _run_f0_events, which gives the same result.
     """
     if not 0 <= replication_index < 2**64:
         raise ValueError("replication_index must be a 64-bit unsigned integer")
     gaps = _replication_gaps(config.seed, replication_index)
+    if trace is None and config.resilience.tolerated_group_failures == 0:
+        return _run_f0_events(config.run, config.resilience, gaps, MAX_WALL_H)
     return _run_events(config.run, config.resilience, gaps, MAX_WALL_H, trace)
 
 

@@ -38,6 +38,7 @@ from traincost.failure_sim import (
     SimConfig,
     _replication_gaps,
     _run_events,
+    _run_f0_events,
     analytic_verdict,
     collect_replications,
     run_ensemble,
@@ -343,7 +344,7 @@ def loop_case(groups, tolerated, mtti_h, ttr_h, max_wall_h, solve_h=200.0, tau_h
 def loop_cases(draw):
     return loop_case(
         groups=draw(st.integers(1, 100)),
-        tolerated=draw(st.integers(0, 6)),
+        tolerated=draw(st.one_of(st.just(0), st.integers(1, 6))),  # F=0 half the time
         mtti_h=draw(st.one_of(st.just(math.inf), st.floats(1.0, 50.0))),
         # Short repairs leave a group or two down; long ones take every group down.
         ttr_h=draw(st.one_of(st.floats(0.0, 2.0), st.floats(20.0, 200.0))),
@@ -354,6 +355,56 @@ def loop_cases(draw):
         seed=draw(st.integers(0, 2**64 - 1)),
         index=draw(st.integers(0, 2**64 - 1)),
     )
+
+
+def first_kind_past(trace, horizon):
+    return next(kind for t, kind, _ in trace if t > horizon)
+
+
+def fails_mid_write(trace):
+    kinds = [kind for _, kind, _ in trace]
+    return any(a == EVENT_CKPT_START and b == EVENT_FAIL for a, b in zip(kinds, kinds[1:]))
+
+
+# F=0 cases for _run_f0_events, each with a check that it shows what its
+# name says: check(run, resilience, max_wall_h, (wall, counts), draws, trace).
+F0_CASES = {
+    "mtti_far_below_tau": (
+        loop_case(10, 0, 2.0, 1.0, 1e5, solve_h=30.0, tau_h=12.0, delta_h=0.5),
+        lambda run, res, horizon, out, draws, trace:
+            run.mtti_h * 5 < run.tau_h and out[0] < horizon and out[1].failures > 1000,
+    ),
+    "failures_mid_write": (
+        loop_case(8, 0, 3.0, 1.0, 5000.0, delta_h=4.0),
+        lambda run, res, horizon, out, draws, trace:
+            run.delta_h >= run.mtti_h and fails_mid_write(trace),
+    ),
+    "zero_ttr": (
+        loop_case(10, 0, 5.0, 0.0, 5000.0),
+        lambda run, res, horizon, out, draws, trace:
+            res.ttr_h == 0 and out[0] < horizon and out[1].failures > 0,
+    ),
+    "infinite_mtti": (
+        loop_case(10, 0, math.inf, 2.0, 5000.0),
+        lambda run, res, horizon, out, draws, trace:
+            draws == 0 and out[0] < horizon and out[1].checkpoints > 0,
+    ),
+    "censored_at_work_end": (
+        loop_case(10, 0, math.inf, 2.0, 19.0),
+        lambda run, res, horizon, out, draws, trace:
+            out[0] == math.inf and first_kind_past(trace, horizon) == EVENT_CKPT_START,
+    ),
+    "censored_at_write_end": (
+        loop_case(10, 0, math.inf, 2.0, 20.0),
+        lambda run, res, horizon, out, draws, trace:
+            out[0] == math.inf and first_kind_past(trace, horizon) == EVENT_CKPT_END,
+    ),
+    "censored_at_failure": (
+        loop_case(10, 0, 20.0, 2.0, 30.0, seed=3),
+        lambda run, res, horizon, out, draws, trace:
+            out[0] == math.inf and first_kind_past(trace, horizon) == EVENT_FAIL,
+    ),
+}
 
 
 class TestEventLoopMatchesReference:
@@ -376,6 +427,43 @@ class TestEventLoopMatchesReference:
         untraced = CountingGaps(_replication_gaps(*key))
         assert _run_events(run, resilience, untraced, max_wall_h) == want
         assert untraced.drawn == gaps.drawn
+        if resilience.tolerated_group_failures == 0:
+            fast = CountingGaps(_replication_gaps(*key))
+            assert _run_f0_events(run, resilience, fast, max_wall_h) == want
+            assert fast.drawn == gaps.drawn
+
+    @pytest.mark.parametrize("name", F0_CASES)
+    def test_f0_fast_path_matches_reference(self, name):
+        (run, resilience, max_wall_h, key), shows = F0_CASES[name]
+        fast, reference = (CountingGaps(_replication_gaps(*key)) for _ in range(2))
+        want = reference_run_events(run, resilience, reference, max_wall_h)
+        assert _run_f0_events(run, resilience, fast, max_wall_h) == want
+        assert fast.drawn == reference.drawn
+        # The case shows what its name says, in the trace of the same
+        # replication with a horizon far away.
+        trace = []
+        reference_run_events(run, resilience, _replication_gaps(*key), 1e9, trace)
+        assert shows(run, resilience, max_wall_h, want, reference.drawn, trace)
+
+    # solve 20 h, tau 9 h, delta 1.5 h, ttr 2 h and an MTTI of 1 h, so a gap
+    # of g puts the first failure at g h: work ends at 9, 19.5 and 23 h and
+    # writes end at 10.5 and 21 h. A tie goes to the work or write end.
+    @pytest.mark.parametrize("first_gap, want", [
+        (10.5, (25.0, EventCounts(1, 0, 2, 1))),  # then rolls back to 9 h, not 0
+        (23.0, (23.0, EventCounts(0, 0, 2, 0))),  # done, not failed
+    ], ids=["at_a_write_end", "at_the_end_of_work"])
+    def test_f0_ties_go_to_work_and_writes(self, first_gap, want):
+        run, resilience, max_wall_h, _ = loop_case(1, 0, 1.0, 2.0, 5000.0, solve_h=20.0)
+        gaps = [first_gap, 100.0, 100.0]
+        assert reference_run_events(run, resilience, iter(gaps), max_wall_h) == want
+        assert _run_f0_events(run, resilience, iter(gaps), max_wall_h) == want
+
+    def test_f0_runs_route_to_the_fast_path(self, monkeypatch):
+        config = reference_config(replications=20)
+        traced = [simulate_run(config, i, trace=[]) for i in range(20)]
+        monkeypatch.setattr(failure_sim, "_run_events", None)  # untraced F=0 never calls it
+        assert [simulate_run(config, i) for i in range(20)] == traced
+        assert sum(counts.failures for _, counts in traced) > 100
 
 
 class TestGapStream:
