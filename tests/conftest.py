@@ -8,22 +8,41 @@ import pytest
 import traincost
 
 
+def _python(args: list[str], timeout: float) -> subprocess.CompletedProcess:
+    """Runs a new interpreter that imports this traincost, capturing its output."""
+    src = str(Path(traincost.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout
+    )
+
+
 @pytest.fixture
 def fresh_python():
     """Runs code in a new interpreter that imports this traincost; returns its stdout.
 
     For checks on sys.modules that the test process's own imports would mask.
     """
-    src = str(Path(traincost.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
 
     def run(code: str) -> str:
-        done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-        )
+        done = _python(["-c", code], timeout=120)
         assert done.returncode == 0, done.stderr
         return done.stdout
+
+    return run
+
+
+@pytest.fixture
+def cli_process():
+    """Runs the CLI in a new process that is killed after timeout seconds.
+
+    For requests that must end in bounded time: a hang fails the test
+    (subprocess.TimeoutExpired) instead of stalling the suite.
+    """
+
+    def run(*args: str, timeout: float) -> subprocess.CompletedProcess:
+        return _python(["-m", "traincost.cli", *args], timeout)
 
     return run
 

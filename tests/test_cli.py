@@ -343,6 +343,25 @@ class TestSimulate:
         assert code == 0
         assert len(out.splitlines()) == MAX_REPLICATIONS + 1
 
+    # gpu_mem_gb 1e-200 makes tau_h about 9.5e-101 h: a replication would
+    # write ~1e105 checkpoints, so the request must be refused up front.
+    @pytest.mark.parametrize("args", [["simulate", "--gpus", "1024"], ["report"]])
+    def test_too_many_checkpoint_writes_is_config_error(self, cli_process, tmp_path, args):
+        cfg = tmp_path / "tiny_checkpoint.yaml"
+        cfg.write_text("cluster: {gpu_mem_gb: 1.0e-200}\n")
+        done = cli_process(*args, "--reps", "1", "--config", str(cfg), timeout=10)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr.startswith("error: checkpoint interval 9.55e-101 h needs up to ")
+        bound = failure_sim.MAX_CHECKPOINTS
+        assert done.stderr.endswith(f" writes per replication, more than {bound}\n")
+
+    def test_a_million_checkpoint_writes_still_run(self, capsys):
+        # One GPU: tau_h is ~7.2 h, so ~1.4e6 writes fit under the horizon.
+        code, out, _ = run_cli(capsys, "simulate", "--gpus", "1", "--reps", "1")
+        assert code == 0
+        _, [row] = parse_csv(out)
+        assert 10**6 < int(row[4]) < failure_sim.MAX_CHECKPOINTS
+
     @pytest.mark.parametrize("reps", [1, 50])
     def test_closed_form_derived_once_per_request(self, monkeypatch, reps):
         calls = []
