@@ -366,21 +366,47 @@ def _run_share(config: SimConfig, indices: range, write_fd: int) -> None:
         os._exit(status)
 
 
-def _forked_shares(config: SimConfig, workers: int) -> list[list[tuple]]:
-    """Fork one child per worker; returns the outcomes each child sent, child 0 first."""
-    pipes: list[int] = []  # the read end of each child's pipe
+def collect_replications(
+    config: SimConfig, workers: int = 1
+) -> list[tuple[float, EventCounts]]:
+    """All replications in index order, shared among w processes.
+
+    w = min(workers, replications, available CPUs), or 1 where os.fork does
+    not exist. Share k holds replications k, k + w, k + 2w, ...; a forked
+    child runs each share k >= 1 (_run_share) while this process runs share
+    0, so one worker forks nothing. Every child is reaped before this
+    returns or raises, and a child that failed raises RuntimeError naming
+    it. Output is independent of w because every replication's random
+    stream is keyed by its own index.
+
+    If share 0 raises, this process closes the pipes, reaps the children
+    and then lets the exception propagate. A child that writes after the
+    close, or still has more than a pipe buffer (about 1,800 outcomes) to
+    write, gets EPIPE: it prints a traceback ending in "BrokenPipeError:
+    [Errno 32] Broken pipe" to stderr and exits 1.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    n = config.replications
+    w = min(workers, n, _available_cpus()) if hasattr(os, "fork") else 1
+    pipes: list[int] = []  # the read end of each child's pipe, share 1 first
     pids: list[int] = []
     try:
-        for k in range(workers):
+        for k in range(1, w):
             read_fd, write_fd = os.pipe()
             pipes.append(read_fd)
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _run_share(config, range(k, config.replications, workers), write_fd)
+                    # The child holds no read end, so its write fails (EPIPE)
+                    # instead of blocking forever once the parent stops reading.
+                    for fd in pipes:
+                        os.close(fd)
+                    _run_share(config, range(k, n, w), write_fd)
             finally:
                 os.close(write_fd)  # so the pipe reads to its end once the child exits
             pids.append(pid)
+        shares = [[simulate_run(config, i) for i in range(0, n, w)]]
         payloads = []
         for read_fd in pipes:
             with open(read_fd, "rb", closefd=False) as pipe:
@@ -389,41 +415,12 @@ def _forked_shares(config: SimConfig, workers: int) -> list[list[tuple]]:
         for read_fd in pipes:
             os.close(read_fd)
         codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-    for k, code in enumerate(codes):
+    for k, code in enumerate(codes, 1):
         if code:
             raise RuntimeError(f"simulation worker {k} exited with status {code}")
-    return [marshal.loads(payload) for payload in payloads]
-
-
-def collect_replications(
-    config: SimConfig, workers: int = 1
-) -> list[tuple[float, EventCounts]]:
-    """All replications in index order; workers > 1 forks children to share them.
-
-    With w = min(workers, replications, available CPUs) above 1, w children
-    are forked and child k runs replications k, k + w, k + 2w, ... This
-    process runs none of them, so it never draws a gap.
-    Running a share here as well was measured and rejected: at --workers 2
-    and 150k GPUs it was no faster (8 of 16 pairs) and peak RSS rose from
-    18.1 to 20.5 MB, on 200 degraded-mode and on 8 F=0 replications alike
-    (with SHAKE-256 gaps, whose OpenSSL the parent then loaded too).
-    With one worker, or where os.fork does not exist, every replication runs
-    here. A child that fails raises RuntimeError naming it. Output is
-    independent of the worker count because every replication's random
-    stream is keyed by its own index.
-    """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    workers = min(workers, config.replications, _available_cpus())
-    indices = range(config.replications)
-    if workers == 1 or not hasattr(os, "fork"):
-        return [simulate_run(config, i) for i in indices]
-    shares = _forked_shares(config, workers)
-    outcomes = []
-    for i in indices:
-        wall, *counts = shares[i % workers][i // workers]
-        outcomes.append((wall, EventCounts(*counts)))
-    return outcomes
+    for payload in payloads:
+        shares.append([(wall, EventCounts(*counts)) for wall, *counts in marshal.loads(payload)])
+    return [shares[i % w][i // w] for i in range(n)]
 
 
 def run_ensemble(config: SimConfig, workers: int = 1) -> SimResult:

@@ -102,12 +102,13 @@ class TestDeterminism:
 class TestWorkerBound:
     @pytest.mark.parametrize(
         "workers, cpus, started",
-        [(64, 8, range(4)), (3, 8, range(3)), (64, 2, range(2)), (10**9, 2, range(2)),
+        [(64, 8, range(3)), (3, 8, range(2)), (64, 2, range(1)), (10**9, 2, range(1)),
          (3, 1, range(0))],
     )
     def test_pool_size_capped(self, monkeypatch, workers, cpus, started):
-        # started ranges over the children the parent forks: min(workers,
-        # 4 replications, cpus) of them, and none for one worker.
+        # started ranges over the children the parent forks: w - 1 of them
+        # for w = min(workers, 4 replications, cpus), since the parent runs
+        # share 0 itself, and none for one worker.
         real_fork = os.fork
         forked = []
 
@@ -145,11 +146,64 @@ class TestWorkerBound:
         with pytest.raises(ChildProcessError):  # no child is left to reap
             os.waitpid(-1, os.WNOHANG)
 
+    def test_failure_in_parent_share_propagates_after_reaping(self, monkeypatch):
+        real_simulate_run = failure_sim.simulate_run
+
+        def failing_at_0(config, index):
+            if index == 0:
+                raise ArithmeticError("replication 0")
+            return real_simulate_run(config, index)
+
+        monkeypatch.setattr(failure_sim, "simulate_run", failing_at_0)
+        monkeypatch.setattr(failure_sim, "_available_cpus", lambda: 2)
+        with pytest.raises(ArithmeticError, match="replication 0"):
+            collect_replications(reference_config(replications=4), 2)
+        with pytest.raises(ChildProcessError):  # no child is left to reap
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_child_past_a_pipe_buffer_ends_when_parent_share_fails(self, fresh_python):
+        # The child's 5,000 outcomes outgrow a pipe buffer. The parent stops
+        # reading when its own share raises, so the child's write must fail
+        # (EPIPE) rather than block the reaping parent forever; the fixture's
+        # time limit turns a hang into a failure.
+        out = fresh_python(textwrap.dedent("""
+            import os
+            from traincost import failure_sim
+            from traincost.cluster_model import ClusterSpec
+            from traincost.scaling_laws import ModelSpec
+
+            def outcome(config, index):
+                if index == 0:
+                    raise ArithmeticError("replication 0")
+                return float(index), failure_sim.EventCounts(index, index, index, index)
+
+            failure_sim._available_cpus = lambda: 2
+            failure_sim.simulate_run = outcome
+            config = failure_sim.SimConfig(
+                model=ModelSpec(1e12, 8), cluster=ClusterSpec(n_gpus=50_000),
+                replications=10_000)
+            try:
+                failure_sim.collect_replications(config, 2)
+            except ArithmeticError as exc:
+                print(exc, end=";")
+            try:
+                os.waitpid(-1, os.WNOHANG)
+            except ChildProcessError:
+                print("reaped", end=";")
+        """))
+        assert out == "replication 0;reaped;"
+
+    def test_uneven_shares_interleave_in_index_order(self, monkeypatch):
+        config = reference_config(replications=7)
+        serial = collect_replications(config, 1)
+        monkeypatch.setattr(failure_sim, "_available_cpus", lambda: 8)
+        assert collect_replications(config, 3) == serial
+
     def test_children_leave_parent_buffers_and_exit_handlers_alone(self, fresh_python):
         # stdout is a pipe here, so the text is still in the parent's buffer
         # when the children fork; each must come out once, from the parent.
-        # The children run every replication, so the parent opens no stream
-        # of gaps: the list of keys it opened stays empty.
+        # The parent runs share 0 itself, so it opens the gap streams of
+        # replications 0 and 2 and no others.
         out = fresh_python(textwrap.dedent("""
             import atexit, sys
             from traincost import failure_sim
@@ -166,7 +220,7 @@ class TestWorkerBound:
             result = failure_sim.run_ensemble(config, workers=2)
             print(len(result.wall_h), opened, end=";")
         """))
-        assert out == "unflushed;4 [];atexit;"
+        assert out == "unflushed;4 [(0, 0), (0, 2)];atexit;"
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_below_one_rejected(self, workers):
