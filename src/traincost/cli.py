@@ -11,6 +11,7 @@ in the NoProgress regime, 3 on I/O failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import astuple, replace
 
@@ -438,10 +439,10 @@ def _chart_path(args) -> str | None:
     out_path = args.out
     if not out_path:
         raise CliError("--svg requires --out to derive the chart filename")
-    stem = out_path.rsplit(".", 1)[0] if "." in out_path.rsplit("/", 1)[-1] else out_path
-    if stem + ".svg" == out_path:
+    chart_path = os.path.splitext(out_path)[0] + ".svg"
+    if chart_path == out_path:
         raise CliError(f"--svg would overwrite the CSV at --out {out_path!r}")
-    return stem + ".svg"
+    return chart_path
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -492,6 +492,19 @@ class TestSvg:
         assert out == ""
         assert not out_path.exists()
 
+    def test_dotfile_out_keeps_its_name_in_the_chart(self, capsys, tmp_path):
+        # A leading dot starts a name, not an extension, so each dotfile
+        # gets its own chart instead of both writing one ".svg".
+        for name in (".timings", ".costs"):
+            code, _, _ = run_cli(
+                capsys, "sweep", "--gpus", "1024:4096:3:geometric",
+                "--out", str(tmp_path / name), "--svg",
+            )
+            assert code == 0
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            ".costs", ".costs.svg", ".timings", ".timings.svg",
+        ]
+
     def test_all_no_progress_skips_the_chart(self, capsys, tmp_path):
         cfg = tmp_path / "hopeless.yaml"
         cfg.write_text("cluster:\n  gpu_mtbf_h: 0.01\n")
