@@ -59,9 +59,9 @@ SIMULATE_COLUMNS = (
 # How --svg labels the series that sweep and project return.
 CHARTS = {
     "sweep": dict(title="Time to train vs system size", x_label="GPUs",
-                  y_label="wall-clock hours", log_x=True, log_y=True),
+                  y_label="wall-clock hours", log_x=True),
     "project": dict(title="Projected cost of one training run", x_label="year",
-                    y_label="USD", log_y=True),
+                    y_label="USD"),
 }
 
 

@@ -2,7 +2,8 @@
 
 Cosmetic companions to the CSV tables: no timestamps, no random ids, byte
 output depends only on the data, so charts can be diffed like the tables.
-Non-finite points are dropped from their series.
+The y axis is logarithmic. Points that are not finite, or not positive on
+a logarithmic axis, are dropped from their series.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ def line_chart(
     x_label: str,
     y_label: str,
     log_x: bool = False,
-    log_y: bool = False,
 ) -> str:
     points_by_name = []
     for name, points in series:
@@ -47,7 +47,7 @@ def line_chart(
             (x, y)
             for x, y in points
             if math.isfinite(x) and math.isfinite(y)
-            and (not log_x or x > 0) and (not log_y or y > 0)
+            and (not log_x or x > 0) and y > 0
         ]
         if kept:
             points_by_name.append((name, kept))
@@ -69,7 +69,7 @@ def line_chart(
         return _MARGIN_LEFT + _transform(x, x_lo, x_hi, log_x) * plot_w
 
     def py(y: float) -> float:
-        return _MARGIN_TOP + (1.0 - _transform(y, y_lo, y_hi, log_y)) * plot_h
+        return _MARGIN_TOP + (1.0 - _transform(y, y_lo, y_hi, True)) * plot_h
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH:.0f}" '
