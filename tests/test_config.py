@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +10,7 @@ from traincost.config import (
     _SECTIONS,
     ConfigError,
     ConfigFile,
+    _coerce,
     _scan,
     parse_config,
     serialize,
@@ -97,6 +100,20 @@ class TestValidation:
         config = parse_config("cluster:\n  gpu_mtbf_h: .inf\n")
         assert config.cluster.gpu_mtbf_h == float("inf")
         assert parse_config(serialize(config)) == config
+
+    @pytest.mark.parametrize("spelling", [
+        ".inf", ".Inf", ".INF", "+.inf", "+.Inf", "+.INF", "-.inf", "-.Inf", "-.INF",
+        ".nan", ".NaN", ".NAN",
+    ])
+    def test_yaml_float_spellings_read_as_pyyaml_reads_them(self, spelling):
+        import yaml
+
+        want = yaml.safe_load(spelling)
+        assert isinstance(want, float)
+        # gpu_mtbf_h refuses NaN and negative values, so read the spelling
+        # through its coercion step.
+        got = _coerce(spelling, float, "cluster.gpu_mtbf_h", 2)
+        assert got == want or (math.isnan(got) and math.isnan(want))
 
     def test_nan_rejected_by_range_check(self):
         with pytest.raises(ConfigError):
