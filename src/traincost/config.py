@@ -110,9 +110,9 @@ def _with(obj, changes: dict):
 def _coerce(raw: str, kind: type, key: str, line: int):
     if kind is str:
         return raw
-    text, body = raw, raw.lstrip("+-")
-    if body[:1] == "." and body[1:4] in ("inf", "Inf", "INF", "nan", "NaN", "NAN"):
-        text = raw[: len(raw) - len(body)] + body[1:]  # YAML's .inf and .nan spellings
+    text = raw
+    if raw.lstrip("+-")[:4] in (".inf", ".Inf", ".INF", ".nan", ".NaN", ".NAN"):
+        text = raw.replace(".", "", 1)  # YAML's spellings of infinity and NaN
     try:
         value = float(text)
     except ValueError:
