@@ -146,26 +146,12 @@ class TestWorkerBound:
         with pytest.raises(ChildProcessError):  # no child is left to reap
             os.waitpid(-1, os.WNOHANG)
 
-    def test_failure_in_parent_share_propagates_after_reaping(self, monkeypatch):
-        real_simulate_run = failure_sim.simulate_run
-
-        def failing_at_0(config, index):
-            if index == 0:
-                raise ArithmeticError("replication 0")
-            return real_simulate_run(config, index)
-
-        monkeypatch.setattr(failure_sim, "simulate_run", failing_at_0)
-        monkeypatch.setattr(failure_sim, "_available_cpus", lambda: 2)
-        with pytest.raises(ArithmeticError, match="replication 0"):
-            collect_replications(reference_config(replications=4), 2)
-        with pytest.raises(ChildProcessError):  # no child is left to reap
-            os.waitpid(-1, os.WNOHANG)
-
-    def test_child_past_a_pipe_buffer_ends_when_parent_share_fails(self, fresh_python):
-        # The child's 5,000 outcomes outgrow a pipe buffer. The parent stops
-        # reading when its own share raises, so the child's write must fail
-        # (EPIPE) rather than block the reaping parent forever; the fixture's
-        # time limit turns a hang into a failure.
+    def test_failure_in_parent_share_propagates_after_reaping(self, fresh_python):
+        # The exception from the parent's share comes out only once no child
+        # is left to reap. The child's 5,000 outcomes outgrow a pipe buffer
+        # and the parent stops reading when its share raises, so the child's
+        # write must fail (EPIPE) rather than block the reaping parent
+        # forever; the fixture's time limit turns a hang into a failure.
         out = fresh_python(textwrap.dedent("""
             import os
             from traincost import failure_sim
