@@ -29,17 +29,12 @@ Event semantics
   process is memoryless, so it is redrawn afterwards).
 * The run ends when progress reaches the work target W.
 
-_run_events is the general loop and the reference. Untraced runs at F=0,
-the paper's baseline, take _run_f0_events instead, which returns the same
-(wall_h, counts) bit for bit. At F=0 the first failure interrupts and the
-restart clears the repair queue, so no group is ever down: there is no
-queue, the rate is always 1.0 (the general loop's x / 1.0 and x * 1.0 are
-exact, so dropping them changes no bit) and progress stands at the last
-checkpoint whenever a work stretch starts. One pass then covers a failure
-or a work stretch with its checkpoint write. It reads the same gaps and
-does the same float operations, in the same order, on every value that
-reaches the result; the general loop's accrual in a stretch that a failure
-cuts short is overwritten by the rollback, so it is skipped.
+_run_events plays every replication, traced or not, at every F. While
+every group is up and no write is in flight, one pass takes a work stretch
+with its checkpoint write, or an F=0 failure; every other state takes one
+event per pass. tests/test_failure_sim.py keeps the plain one-event loop,
+reference_run_events, which this one must match bit for bit in (wall_h,
+counts), trace and the number of gaps drawn.
 
 SimConfig refuses a run that could need more than MAX_CHECKPOINTS
 checkpoint writes in one replication. The number of failures before the
@@ -174,34 +169,80 @@ def _run_events(
     Failure gaps are read from gaps (standard exponential, scaled by the
     MTTI): one for the first failure and one after each failure, none when
     the MTTI is infinite.
+
+    While every group is up and no write is in flight, an inner loop runs at
+    rate 1.0 (the one-event step's x / 1.0 and x * 1.0 are exact, so they
+    are dropped). Each pass is one work stretch with its checkpoint write,
+    or at F=0 one failure, which interrupts in place: progress stands at the
+    last checkpoint then, and interrupts equal failures, so only failures
+    is counted. The end of the work, the horizon and a failure that F>0
+    rides out (with the write left in flight if it lands in one) are left
+    to the one-event step, which plays every state with a group down or a
+    write in flight.
     """
     work, tau, delta, mtti, groups = run.solve_h, run.tau_h, run.delta_h, run.mtti_h, run.groups
     tolerated, ttr = resilience.tolerated_group_failures, resilience.ttr_h
     inf = math.inf
     draw = gaps.__next__
-    failing = math.isfinite(mtti)  # an infinite MTTI draws no gap
 
     emit = trace.append if trace is not None else None
     t = 0.0
     progress = 0.0
     ckpt_progress = 0.0
+    target = ckpt_progress + tau  # progress at the next checkpoint or the end
+    if work < target:
+        target = work
     repairs_due: deque[float] = deque()  # one repair time per down group, FIFO
     writing_until: float | None = None
     failures = repairs = checkpoints = interrupts = 0
-    next_fail = t + mtti * draw() if failing else inf
+    # An infinite MTTI draws no gap; a failure is only ever played within
+    # the horizon, so the draws after it need no such check.
+    next_fail = t + mtti * draw() if math.isfinite(mtti) else inf
 
     # The comparisons below are min(), spelled out: each keeps the first of
-    # equal values, as min() does, without the call.
+    # equal values, as min() does, without the call. Ties go to repairs,
+    # then work and write ends, then failures; simultaneous events have
+    # probability zero anyway.
     while True:
+        if writing_until is None and not repairs_due:
+            while True:
+                t_work = t + (target - progress)
+                if t_work <= next_fail:
+                    if t_work > max_wall_h or target >= work:
+                        break  # censored or done
+                    if emit:
+                        emit((t_work, EVENT_CKPT_START, 0))
+                    t_end = t_work + delta
+                    if t_end <= next_fail and t_end <= max_wall_h:
+                        t = t_end
+                        progress = ckpt_progress = target
+                        checkpoints += 1
+                        target = ckpt_progress + tau
+                        if work < target:
+                            target = work
+                        if emit:
+                            emit((t, EVENT_CKPT_END, 0))
+                        continue
+                    if tolerated or next_fail > max_wall_h:
+                        progress = target
+                        writing_until = t_end
+                        break  # censored, or a failure to ride out lands in the write
+                elif tolerated or next_fail > max_wall_h:
+                    break  # a failure to ride out, or censored
+                # At F=0 the failure interrupts; progress stays at the checkpoint.
+                failures += 1
+                t = next_fail + ttr
+                if emit:
+                    emit((next_fail, EVENT_FAIL, 1))
+                    emit((next_fail, EVENT_INTERRUPT, 1))
+                    emit((t, EVENT_RESTART, 0))
+                next_fail = t + mtti * draw()
+
         active = groups - len(repairs_due)
         rate = active / groups  # exactly 1.0 with all groups up
-        target = None
         if writing_until is not None:
             t_work = writing_until
         elif active > 0:
-            target = ckpt_progress + tau
-            if work < target:
-                target = work
             t_work = t + (target - progress) / rate
         else:
             t_work = inf  # all groups down, waiting on repairs
@@ -213,15 +254,13 @@ def _run_events(
             t_next = t_work
 
         if t_next > max_wall_h:
-            counts = EventCounts(failures, repairs, checkpoints, interrupts)
-            return math.inf, counts
+            t = inf  # censored
+            break
 
         if writing_until is None and active > 0:
             progress += (t_next - t) * rate
         t = t_next
 
-        # Tie-break order: repairs, then work/checkpoint completion, then
-        # failures; simultaneous events have probability zero anyway.
         if t_repair <= next_fail and t_repair <= t_work:
             repairs_due.popleft()
             repairs += 1
@@ -232,6 +271,9 @@ def _run_events(
                 writing_until = None
                 ckpt_progress = progress
                 checkpoints += 1
+                target = ckpt_progress + tau
+                if work < target:
+                    target = work
                 if emit:
                     emit((t, EVENT_CKPT_END, len(repairs_due)))
             else:
@@ -239,8 +281,7 @@ def _run_events(
                 if progress >= work:
                     if emit:
                         emit((t, EVENT_DONE, len(repairs_due)))
-                    counts = EventCounts(failures, repairs, checkpoints, interrupts)
-                    return t, counts
+                    break
                 writing_until = t + delta
                 if emit:
                     emit((t, EVENT_CKPT_START, len(repairs_due)))
@@ -260,58 +301,10 @@ def _run_events(
                 repairs_due.clear()
                 if emit:
                     emit((t, EVENT_RESTART, 0))
-            next_fail = t + mtti * draw() if failing else inf
-
-
-def _run_f0_events(
-    run: RunBreakdown,
-    resilience: ResilienceConfig,
-    gaps: Iterator[float],
-    max_wall_h: float,
-) -> tuple[float, EventCounts]:
-    """_run_events at F=0 without a trace: same gaps, same (wall_h, counts).
-
-    Every failure interrupts, so no group is ever down, progress runs at
-    rate 1.0 and stands at the last checkpoint whenever a work stretch
-    starts. Each pass is one failure (rollback plus restart) or one work
-    stretch, which also finishes its checkpoint write when the next failure
-    comes no earlier than the write's end. Work and write ends win ties,
-    and each horizon check sits where _run_events censors.
-    """
-    work, tau, delta, mtti = run.solve_h, run.tau_h, run.delta_h, run.mtti_h
-    ttr = resilience.ttr_h
-    draw = gaps.__next__
-    t = 0.0
-    ckpt = 0.0  # progress at the last completed checkpoint
-    failures = checkpoints = 0
-    next_fail = t + mtti * draw() if math.isfinite(mtti) else math.inf
-
-    while True:
-        target = ckpt + tau
-        if work < target:
-            target = work
-        t_work = t + (target - ckpt)
-        if t_work <= next_fail:
-            if t_work > max_wall_h:
-                break
-            if target >= work:
-                return t_work, EventCounts(failures, 0, checkpoints, failures)
-            t_end = t_work + delta
-            if t_end <= next_fail:
-                if t_end > max_wall_h:
-                    break
-                t = t_end
-                ckpt = target
-                checkpoints += 1
-                continue
-        # A failure comes first, during the work or the write. Past the
-        # check below it is within the horizon, so the MTTI is finite.
-        if next_fail > max_wall_h:
-            break
-        failures += 1
-        t = next_fail + ttr
-        next_fail = t + mtti * draw()
-    return math.inf, EventCounts(failures, 0, checkpoints, failures)
+            next_fail = t + mtti * draw()
+    if not tolerated:
+        interrupts = failures  # the inner loop counts only failures at F=0
+    return t, EventCounts(failures, repairs, checkpoints, interrupts)
 
 
 def simulate_run(
@@ -321,13 +314,11 @@ def simulate_run(
 
     When trace is a list, one (time_h, kind, groups_down) record per event
     is appended to it, with the number of groups down after the event.
-    Untraced F=0 runs take _run_f0_events, which gives the same result.
+    Traced and untraced runs take the same loop, _run_events.
     """
     if not 0 <= replication_index < 2**64:
         raise ValueError("replication_index must be a 64-bit unsigned integer")
     gaps = _replication_gaps(config.seed, replication_index)
-    if trace is None and config.resilience.tolerated_group_failures == 0:
-        return _run_f0_events(config.run, config.resilience, gaps, MAX_WALL_H)
     return _run_events(config.run, config.resilience, gaps, MAX_WALL_H, trace)
 
 
@@ -379,11 +370,9 @@ def collect_replications(
     it. Output is independent of w because every replication's random
     stream is keyed by its own index.
 
-    If share 0 raises, this process closes the pipes, reaps the children
-    and then lets the exception propagate. A child that writes after the
-    close, or still has more than a pipe buffer (about 1,800 outcomes) to
-    write, gets EPIPE: it prints a traceback ending in "BrokenPipeError:
-    [Errno 32] Broken pipe" to stderr and exits 1.
+    If share 0 or a fork raises, this process sends SIGTERM to every child,
+    reaps them and then lets the exception propagate, so no child runs on
+    or prints anything.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -411,6 +400,12 @@ def collect_replications(
         for read_fd in pipes:
             with open(read_fd, "rb", closefd=False) as pipe:
                 payloads.append(pipe.read())
+    except BaseException:
+        import signal
+
+        for pid in pids:
+            os.kill(pid, signal.SIGTERM)
+        raise
     finally:
         for read_fd in pipes:
             os.close(read_fd)

@@ -38,7 +38,6 @@ from traincost.failure_sim import (
     SimConfig,
     _replication_gaps,
     _run_events,
-    _run_f0_events,
     analytic_verdict,
     collect_replications,
     run_ensemble,
@@ -147,13 +146,12 @@ class TestWorkerBound:
             os.waitpid(-1, os.WNOHANG)
 
     def test_failure_in_parent_share_propagates_after_reaping(self, fresh_python):
-        # The exception from the parent's share comes out only once no child
-        # is left to reap. The child's 5,000 outcomes outgrow a pipe buffer
-        # and the parent stops reading when its share raises, so the child's
-        # write must fail (EPIPE) rather than block the reaping parent
-        # forever; the fixture's time limit turns a hang into a failure.
+        # The exception from the parent's share comes out at once, and only
+        # once no child is left to reap: the parent stops the child, whose
+        # share would take 30 s, instead of waiting for it. The child prints
+        # nothing; fd 2, which it inherits, is a file read back at the end.
         out = fresh_python(textwrap.dedent("""
-            import os
+            import os, tempfile, time
             from traincost import failure_sim
             from traincost.cluster_model import ClusterSpec
             from traincost.scaling_laws import ModelSpec
@@ -161,23 +159,28 @@ class TestWorkerBound:
             def outcome(config, index):
                 if index == 0:
                     raise ArithmeticError("replication 0")
-                return float(index), failure_sim.EventCounts(index, index, index, index)
+                time.sleep(30)
+                return 0.0, failure_sim.EventCounts()
 
             failure_sim._available_cpus = lambda: 2
             failure_sim.simulate_run = outcome
             config = failure_sim.SimConfig(
-                model=ModelSpec(1e12, 8), cluster=ClusterSpec(n_gpus=50_000),
-                replications=10_000)
+                model=ModelSpec(1e12, 8), cluster=ClusterSpec(n_gpus=50_000), replications=2)
+            stderr = tempfile.TemporaryFile()
+            os.dup2(stderr.fileno(), 2)
+            start = time.monotonic()
             try:
                 failure_sim.collect_replications(config, 2)
             except ArithmeticError as exc:
-                print(exc, end=";")
+                print(exc, time.monotonic() - start < 10, end=";")
             try:
                 os.waitpid(-1, os.WNOHANG)
             except ChildProcessError:
                 print("reaped", end=";")
+            stderr.seek(0)
+            print(stderr.read(), end=";")
         """))
-        assert out == "replication 0;reaped;"
+        assert out == "replication 0 True;reaped;b'';"
 
     def test_uneven_shares_interleave_in_index_order(self, monkeypatch):
         config = reference_config(replications=7)
@@ -391,7 +394,7 @@ def loop_cases(draw):
         max_wall_h=draw(st.one_of(st.floats(1.0, 100.0), st.just(5000.0))),
         solve_h=draw(st.floats(1.0, 300.0)),
         tau_h=draw(st.floats(0.5, 50.0)),
-        delta_h=draw(st.floats(0.01, 5.0)),
+        delta_h=draw(st.one_of(st.just(0.0), st.floats(0.01, 20.0))),
         seed=draw(st.integers(0, 2**64 - 1)),
         index=draw(st.integers(0, 2**64 - 1)),
     )
@@ -406,8 +409,9 @@ def fails_mid_write(trace):
     return any(a == EVENT_CKPT_START and b == EVENT_FAIL for a, b in zip(kinds, kinds[1:]))
 
 
-# F=0 cases for _run_f0_events, each with a check that it shows what its
-# name says: check(run, resilience, max_wall_h, (wall, counts), draws, trace).
+# F=0 cases, which the every-group-up loop of _run_events plays to the end,
+# each with a check that it shows what its name says: check(run, resilience,
+# max_wall_h, (wall, counts), draws, trace).
 F0_CASES = {
     "mtti_far_below_tau": (
         loop_case(10, 0, 2.0, 1.0, 1e5, solve_h=30.0, tau_h=12.0, delta_h=0.5),
@@ -447,6 +451,83 @@ F0_CASES = {
 }
 
 
+def write_states(trace):
+    """(kind, groups down before, groups down after, writing before) per event."""
+    down, writing = 0, False
+    for _, kind, after in trace:
+        yield kind, down, after, writing
+        down = after
+        if kind == EVENT_CKPT_START:
+            writing = True
+        elif kind in (EVENT_CKPT_END, EVENT_INTERRUPT):
+            writing = False
+
+
+def rides_out(trace, during_write):
+    return any(kind == EVENT_FAIL and down == 0 and writing == during_write
+               for kind, down, _, writing in write_states(trace))
+
+
+def last_repair_mid_write(trace):
+    states = list(write_states(trace))
+    return any(a[0] == EVENT_REPAIR and a[2] == 0 and a[3] and b[0] == EVENT_CKPT_END
+               for a, b in zip(states, states[1:]))
+
+
+# F>0 cases that leave the every-group-up loop for the one-event step,
+# checked as F0_CASES are.
+RIDE_OUT_CASES = {
+    "during_work": (
+        loop_case(20, 5, 4.0, 1.0, 5000.0),
+        lambda run, res, horizon, out, draws, trace:
+            out[0] < horizon and rides_out(trace, during_write=False),
+    ),
+    "during_a_write": (
+        loop_case(8, 2, 3.0, 1.0, 5000.0, delta_h=4.0),
+        lambda run, res, horizon, out, draws, trace:
+            out[0] < horizon and rides_out(trace, during_write=True),
+    ),
+    "last_repair_mid_write": (
+        loop_case(8, 2, 3.0, 1.0, 5000.0, delta_h=4.0),
+        lambda run, res, horizon, out, draws, trace:
+            out[0] < horizon and last_repair_mid_write(trace),
+    ),
+    "every_group_down": (
+        loop_case(3, 6, 8.0, 20.0, 5000.0),
+        lambda run, res, horizon, out, draws, trace:
+            out[0] < horizon and any(after == run.groups for _, _, after in trace),
+    ),
+}
+
+
+def assert_matches_reference(run, resilience, max_wall_h, gaps):
+    """_run_events matches reference_run_events on the gaps() stream.
+
+    Traced and untraced, it returns the same (wall_h, counts) and draws as
+    many gaps, and its trace is the same. Returns the reference's result
+    and draw count.
+    """
+    reference, reference_trace = CountingGaps(gaps()), []
+    want = reference_run_events(run, resilience, reference, max_wall_h, reference_trace)
+    traced, untraced, trace = CountingGaps(gaps()), CountingGaps(gaps()), []
+    assert _run_events(run, resilience, traced, max_wall_h, trace) == want
+    assert trace == reference_trace
+    assert _run_events(run, resilience, untraced, max_wall_h) == want
+    assert traced.drawn == untraced.drawn == reference.drawn
+    return want, reference.drawn
+
+
+def assert_named_case(case, shows):
+    run, resilience, max_wall_h, key = case
+    want, drawn = assert_matches_reference(
+        run, resilience, max_wall_h, lambda: _replication_gaps(*key))
+    # The case shows what its name says, in the trace of the same
+    # replication with a horizon far away.
+    trace = []
+    reference_run_events(run, resilience, _replication_gaps(*key), 1e9, trace)
+    assert shows(run, resilience, max_wall_h, want, drawn, trace)
+
+
 class TestEventLoopMatchesReference:
     @settings(max_examples=200, deadline=None)
     @given(loop_cases())
@@ -457,33 +538,15 @@ class TestEventLoopMatchesReference:
     @example(loop_case(10, 2, math.inf, 2.0, 5000.0))  # no failures, no draws
     def test_same_wall_counts_trace_and_draws(self, case):
         run, resilience, max_wall_h, key = case
-        gaps, reference_gaps = (CountingGaps(_replication_gaps(*key)) for _ in range(2))
-        trace, reference_trace = [], []
-        got = _run_events(run, resilience, gaps, max_wall_h, trace)
-        want = reference_run_events(run, resilience, reference_gaps, max_wall_h, reference_trace)
-        assert got == want
-        assert trace == reference_trace
-        assert gaps.drawn == reference_gaps.drawn
-        untraced = CountingGaps(_replication_gaps(*key))
-        assert _run_events(run, resilience, untraced, max_wall_h) == want
-        assert untraced.drawn == gaps.drawn
-        if resilience.tolerated_group_failures == 0:
-            fast = CountingGaps(_replication_gaps(*key))
-            assert _run_f0_events(run, resilience, fast, max_wall_h) == want
-            assert fast.drawn == gaps.drawn
+        assert_matches_reference(run, resilience, max_wall_h, lambda: _replication_gaps(*key))
 
     @pytest.mark.parametrize("name", F0_CASES)
     def test_f0_fast_path_matches_reference(self, name):
-        (run, resilience, max_wall_h, key), shows = F0_CASES[name]
-        fast, reference = (CountingGaps(_replication_gaps(*key)) for _ in range(2))
-        want = reference_run_events(run, resilience, reference, max_wall_h)
-        assert _run_f0_events(run, resilience, fast, max_wall_h) == want
-        assert fast.drawn == reference.drawn
-        # The case shows what its name says, in the trace of the same
-        # replication with a horizon far away.
-        trace = []
-        reference_run_events(run, resilience, _replication_gaps(*key), 1e9, trace)
-        assert shows(run, resilience, max_wall_h, want, reference.drawn, trace)
+        assert_named_case(*F0_CASES[name])
+
+    @pytest.mark.parametrize("name", RIDE_OUT_CASES)
+    def test_ride_out_matches_reference(self, name):
+        assert_named_case(*RIDE_OUT_CASES[name])
 
     # solve 20 h, tau 9 h, delta 1.5 h, ttr 2 h and an MTTI of 1 h, so a gap
     # of g puts the first failure at g h: work ends at 9, 19.5 and 23 h and
@@ -495,13 +558,34 @@ class TestEventLoopMatchesReference:
     def test_f0_ties_go_to_work_and_writes(self, first_gap, want):
         run, resilience, max_wall_h, _ = loop_case(1, 0, 1.0, 2.0, 5000.0, solve_h=20.0)
         gaps = [first_gap, 100.0, 100.0]
-        assert reference_run_events(run, resilience, iter(gaps), max_wall_h) == want
-        assert _run_f0_events(run, resilience, iter(gaps), max_wall_h) == want
+        got, _ = assert_matches_reference(run, resilience, max_wall_h, lambda: iter(gaps))
+        assert got == want
 
-    def test_f0_runs_route_to_the_fast_path(self, monkeypatch):
-        config = reference_config(replications=20)
+    # F=1 with 2 groups, so one group down halves the rate and a second
+    # failure while it is down interrupts; otherwise as above.
+    @pytest.mark.parametrize("ttr_h, gaps, want", [
+        # The failure at 5 h is repaired at 7 h, when the next one comes: the
+        # repair goes first, so that failure is ridden out, not an interrupt.
+        (2.0, [5.0, 2.0, 100.0], (25.0, EventCounts(2, 2, 2, 0))),
+        # The failure at 1 h is repaired at 21 h; work at half rate ends at
+        # 17 h and its write at 18.5 h, when the next failure interrupts: the
+        # write completes first, so the rollback is to 9 h, not 0.
+        (20.0, [1.0, 17.5, 100.0], (51.0, EventCounts(2, 0, 2, 1))),
+        # Work at half rate from the failure at 8 h ends at 10 h, when that
+        # group is repaired: the repair goes first, so the trace has the
+        # write start with every group up.
+        (2.0, [8.0, 100.0], (24.0, EventCounts(1, 1, 2, 0))),
+    ], ids=["at_a_repair", "at_a_write_end_with_a_group_down", "at_a_work_end_with_a_repair"])
+    def test_f1_ties_go_to_repairs_then_work_and_writes(self, ttr_h, gaps, want):
+        run, resilience, max_wall_h, _ = loop_case(2, 1, 1.0, ttr_h, 5000.0, solve_h=20.0)
+        got, _ = assert_matches_reference(run, resilience, max_wall_h, lambda: iter(gaps))
+        assert got == want
+
+    @pytest.mark.parametrize("tolerated", [0, 5], ids=["F0", "F5"])
+    def test_traced_and_untraced_runs_agree(self, tolerated):
+        config = reference_config(
+            replications=20, resilience=replace(BASELINE, tolerated_group_failures=tolerated))
         traced = [simulate_run(config, i, trace=[]) for i in range(20)]
-        monkeypatch.setattr(failure_sim, "_run_events", None)  # untraced F=0 never calls it
         assert [simulate_run(config, i) for i in range(20)] == traced
         assert sum(counts.failures for _, counts in traced) > 100
 
