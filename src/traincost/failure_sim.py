@@ -371,8 +371,8 @@ def collect_replications(
     stream is keyed by its own index.
 
     If share 0 or a fork raises, this process sends SIGTERM to every child,
-    reaps them and then lets the exception propagate, so no child runs on
-    or prints anything.
+    reaps them and then lets the exception propagate, at once instead of
+    after each child has run its share.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")

@@ -279,8 +279,9 @@ class CountingGaps:
 
 
 # The event loop as it was before its min() calls were spelled out as
-# comparisons and its draws bound to gaps.__next__, kept verbatim as the
-# reference the current loop must match exactly.
+# comparisons, its draws bound to gaps.__next__ and its every-group-up loop
+# added: one event per pass, kept verbatim as the reference the current
+# loop must match exactly.
 def reference_run_events(
     run: RunBreakdown,
     resilience: ResilienceConfig,
