@@ -471,8 +471,8 @@ def rides_out(trace, during_write):
 
 def last_repair_mid_write(trace):
     states = list(write_states(trace))
-    return any(a[0] == EVENT_REPAIR and a[2] == 0 and a[3] and b[0] == EVENT_CKPT_END
-               for a, b in zip(states, states[1:]))
+    return any(kind == EVENT_REPAIR and after == 0 and writing and next_kind == EVENT_CKPT_END
+               for (kind, _, after, writing), (next_kind, *_) in zip(states, states[1:]))
 
 
 # F>0 cases that leave the every-group-up loop for the one-event step,
