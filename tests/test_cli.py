@@ -174,6 +174,20 @@ class TestSweep:
         assert out == ""
         assert err == "error: checkpoint write time is not finite\n"
 
+    # Cells up to 16,384 GPUs succeed; at 32,768 GPUs the checkpoint volume
+    # overflows to inf. Nothing is written unless every cell is computed.
+    @pytest.mark.parametrize("out", [[], ["--out", "sweep.csv", "--svg"]],
+                             ids=["stdout", "out_and_svg"])
+    def test_mid_grid_failure_writes_nothing(self, capsys, tmp_path, monkeypatch, out):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "huge_memory.yaml"
+        cfg.write_text("cluster: {gpu_mem_gb: 1.0e+304}\n")
+        code, stdout, err = run_cli(capsys, "sweep", "--config", str(cfg),
+                                    "--gpus", "1024:262144:9:geometric", *out)
+        assert (code, stdout) == (1, "")
+        assert err == "error: checkpoint write time is not finite\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["huge_memory.yaml"]
+
     # A tiny checkpoint and MTBF make sqrt(2 * delta * M_eff) underflow to 0.0,
     # whatever the restart time.
     @pytest.mark.parametrize("resilience", ["", "resilience:\n  ttr_h: 0\n"],
