@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Iterable
 from dataclasses import astuple, replace
 
 # failure_sim and svgplot are imported by the functions that use them, so
@@ -185,37 +186,44 @@ def cmd_sweep(config: ConfigFile, gpus_list: list[int]) -> tuple[CsvTable, str, 
     that make progress: a strategy stalled everywhere has an empty one.
     """
     model = ModelSpec(config.growth.base_params, config.scenario.base_experts)
+    params, experts = float(model.params), model.experts
     flops = float(moe_training_flops(model, config.scaling))
     res = config.resilience
     variants = [SweepVariant("baseline", res), cluster_model.optimized_variant(res)]
-    results = cluster_model.sweep_system_size(
-        model, config.scaling, config.cluster, variants, gpus_list
-    )
-    rows = tuple(
-        (
-            n_gpus, name, float(model.params), model.experts, flops,
-            run.mtti_h, run.mtti_eff_h, run.delta_h, run.tau_h, run.efficiency,
-            run.wall_h, run.gpu_hours, run.gpu_dollars, run.status,
-        )
-        for n_gpus, name, run in results
-    )
-    by_name: dict[str, list] = {}
-    for n_gpus, name, run in results:
-        by_name.setdefault(name, []).append((n_gpus, run))
+    # Per strategy, as the cells go by: its series, its fastest cell as
+    # (wall_h, n_gpus) and its first NoProgress size. The grid ascends, so
+    # the first of equally fast cells is min()'s pick.
+    points: dict[str, list] = {variant.name: [] for variant in variants}
+    fastest: dict[str, tuple[float, int]] = {}
+    stalled: dict[str, int] = {}
+
+    def rows():
+        for n_gpus, name, run in cluster_model.sweep_cells(
+            model, config.scaling, config.cluster, variants, gpus_list
+        ):
+            if run.ok:
+                points[name].append((float(n_gpus), run.wall_h))
+                if name not in fastest or run.wall_h < fastest[name][0]:
+                    fastest[name] = (run.wall_h, n_gpus)
+            else:
+                stalled.setdefault(name, n_gpus)
+            yield (
+                n_gpus, name, params, experts, flops,
+                run.mtti_h, run.mtti_eff_h, run.delta_h, run.tau_h, run.efficiency,
+                run.wall_h, run.gpu_hours, run.gpu_dollars, run.status,
+            )
+
+    table = CsvTable(SWEEP_COLUMNS, rows())
     lines = []
-    series = []
-    for name, cells in by_name.items():
-        finite = [(run.wall_h, n_gpus) for n_gpus, run in cells if run.ok]
-        series.append((name, [(float(n_gpus), wall) for wall, n_gpus in finite]))
-        stalled = [n_gpus for n_gpus, run in cells if not run.ok]
+    for name in points:
         reading = []
-        if finite:
-            wall, n_gpus = min(finite)
+        if name in fastest:
+            wall, n_gpus = fastest[name]
             reading.append(f"fastest at {n_gpus} GPUs ({wall:.0f} h wall-clock)")
-        if stalled:
-            reading.append(f"NoProgress from {stalled[0]} GPUs")
+        if name in stalled:
+            reading.append(f"NoProgress from {stalled[name]} GPUs")
         lines.append(f"{name}: {'; '.join(reading)}\n")
-    return CsvTable(SWEEP_COLUMNS, rows), "".join(lines), sorted(series)
+    return table, "".join(lines), sorted(points.items())
 
 
 def cmd_project(
@@ -227,12 +235,12 @@ def cmd_project(
     the two market curves, which do not depend on the scenario.
     """
     rates = config.cluster.rates
-    rows = []
+    projected = []
     lines = []
     series = []
     for scenario in scenarios:
         year_rows = projection.project_years(years, config.growth, scenario, rates, config.market)
-        rows += [(scenario.name, *astuple(row)) for row in year_rows]
+        projected.append((scenario.name, year_rows))
         series.append((scenario.name, [(float(r.year), r.gpu_cost_usd) for r in year_rows]))
         crossings = projection.intersection_year(
             config.growth, scenario, rates, config.market
@@ -252,7 +260,8 @@ def cmd_project(
     series.sort()
     series.append(("gpu installed base", [(float(r.year), r.gpu_base_usd) for r in year_rows]))
     series.append(("it spending", [(float(r.year), r.it_spend_usd) for r in year_rows]))
-    return CsvTable(PROJECT_COLUMNS, tuple(rows)), "\n".join(lines) + "\n", series
+    rows = ((name, *astuple(row)) for name, year_rows in projected for row in year_rows)
+    return CsvTable(PROJECT_COLUMNS, rows), "\n".join(lines) + "\n", series
 
 
 def cmd_simulate(
@@ -277,7 +286,7 @@ def cmd_simulate(
     )
     outcomes = failure_sim.collect_replications(sim_config, workers)
     result = failure_sim.summarize(outcomes)
-    rows = tuple((i, wall, *astuple(counts)) for i, (wall, counts) in enumerate(outcomes))
+    rows = ((i, wall, *astuple(counts)) for i, (wall, counts) in enumerate(outcomes))
     table = CsvTable(SIMULATE_COLUMNS, rows)
 
     verdict = failure_sim.analytic_verdict(sim_config, result, VALIDATION_TOLERANCE)
@@ -424,12 +433,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_output(text: str, out_path: str | None) -> None:
+def _write_output(chunks: Iterable[str], out_path: str | None) -> None:
+    """Write the strings in order to out_path, or to stdout, without joining them."""
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _chart_path(args) -> str | None:
@@ -472,11 +482,11 @@ def main(argv: list[str] | None = None) -> int:
         else:
             data, summary = cmd_report(config, args.seed, args.reps), ""
 
-        _write_output(data if isinstance(data, str) else data.to_csv(), args.out)
+        _write_output([data] if isinstance(data, str) else data.lines(), args.out)
         if chart_path and code == 0:
             from . import svgplot
 
-            _write_output(svgplot.line_chart(series, **CHARTS[args.command]), chart_path)
+            _write_output([svgplot.line_chart(series, **CHARTS[args.command])], chart_path)
         elif chart_path:  # only a sweep with every cell NoProgress has no chart
             summary += "no chart written: every cell is NoProgress\n"
         sys.stderr.write(summary)

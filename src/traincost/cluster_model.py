@@ -23,6 +23,7 @@ effective mean time to interrupt.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 from .scaling_laws import (
@@ -297,16 +298,17 @@ def expected_runtime(
     )
 
 
-def sweep_system_size(
+def sweep_cells(
     model: ModelSpec,
     constants: ScalingConstants,
     cluster_template: ClusterSpec,
     variants: list[SweepVariant],
     n_gpus_list: list[int],
-) -> list[tuple[int, str, RunBreakdown]]:
-    """Evaluate every (system size, strategy) cell of a time-to-train sweep.
+) -> Iterator[tuple[int, str, RunBreakdown]]:
+    """Yield every (system size, strategy) cell of a time-to-train sweep in grid order.
 
-    NoProgress cells are returned as data, not raised.
+    The grid and the variants are checked before the first cell is
+    computed. NoProgress cells are yielded as data, not raised.
     """
     if not n_gpus_list:
         raise ValueError("n_gpus_list must be non-empty")
@@ -315,12 +317,22 @@ def sweep_system_size(
     if not variants:
         raise ValueError("variants must be non-empty")
 
-    rows = []
     for n_gpus in n_gpus_list:
         for variant in variants:
             cluster = replace(cluster_template, n_gpus=n_gpus)
             if variant.fs_bw_gbs is not None:
                 cluster = replace(cluster, fs_bw_gbs=variant.fs_bw_gbs)
-            breakdown = expected_runtime(model, constants, cluster, variant.resilience)
-            rows.append((n_gpus, variant.name, breakdown))
-    return rows
+            yield n_gpus, variant.name, expected_runtime(
+                model, constants, cluster, variant.resilience
+            )
+
+
+def sweep_system_size(
+    model: ModelSpec,
+    constants: ScalingConstants,
+    cluster_template: ClusterSpec,
+    variants: list[SweepVariant],
+    n_gpus_list: list[int],
+) -> list[tuple[int, str, RunBreakdown]]:
+    """Every cell of sweep_cells, as a list."""
+    return list(sweep_cells(model, constants, cluster_template, variants, n_gpus_list))

@@ -3,13 +3,15 @@
 Every subcommand emits a table with a fixed column set.  Numbers are
 serialized as round-trippable decimals (17 significant digits) and
 non-finite numbers (a NoProgress or censored result) as empty cells;
-output bytes are a pure function of the rows.
+output bytes are a pure function of the rows.  A table holds its
+formatted lines, not its cells: each row is checked and formatted as it
+arrives, so the rows can come from a generator that is never held.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 
 
 def format_cell(value) -> str:
@@ -28,19 +30,22 @@ def format_cell(value) -> str:
     raise TypeError(f"unsupported cell type: {type(value).__name__}")
 
 
-@dataclass(frozen=True)
 class CsvTable:
-    header: tuple[str, ...]
-    rows: tuple[tuple, ...]
+    """A header and its rows, each row kept as its CSV line (newline included)."""
 
-    def __post_init__(self):
-        for row in self.rows:
-            if len(row) != len(self.header):
-                raise ValueError(
-                    f"row has {len(row)} cells, header has {len(self.header)}"
-                )
+    def __init__(self, header: tuple[str, ...], rows: Iterable[tuple]):
+        self.header = header
+        self.rows: list[str] = []
+        append = self.rows.append
+        for row in rows:
+            if len(row) != len(header):
+                raise ValueError(f"row has {len(row)} cells, header has {len(header)}")
+            append(",".join(map(format_cell, row)) + "\n")
+
+    def lines(self) -> Iterator[str]:
+        """The header's line, then every row's."""
+        yield ",".join(self.header) + "\n"
+        yield from self.rows
 
     def to_csv(self) -> str:
-        lines = [",".join(self.header)]
-        lines.extend(",".join(format_cell(cell) for cell in row) for row in self.rows)
-        return "\n".join(lines) + "\n"
+        return "".join(self.lines())

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import math
+import sys
 import textwrap
 from dataclasses import replace
 
@@ -187,6 +188,31 @@ class TestSweep:
         assert (code, stdout) == (1, "")
         assert err == "error: checkpoint write time is not finite\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["huge_memory.yaml"]
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+    def test_peak_memory_grows_with_the_csv_not_the_records(self, fresh_python, tmp_path):
+        # A cell's CSV line is ~175 bytes; a sweep that also held its records
+        # and row tuples grew its peak RSS by ~7.5x the CSV's size. VmHWM is
+        # this process's own peak: its ru_maxrss also counts the size of the
+        # forking test process before the exec.
+        out = tmp_path / "sweep.csv"
+        grown, csv_bytes = map(int, fresh_python(textwrap.dedent(f"""
+            import contextlib, io, os
+            from traincost import cli
+
+            def peak_after(points):
+                with contextlib.redirect_stderr(io.StringIO()):
+                    cli.main(["sweep", "--gpus", f"1024:262144:{{points}}:geometric",
+                              "--out", {str(out)!r}])
+                with open("/proc/self/status") as status:
+                    kib = next(line for line in status if line.startswith("VmHWM:")).split()[1]
+                return int(kib) * 1024
+
+            before = peak_after(9)
+            print(peak_after(20_000) - before, os.path.getsize({str(out)!r}))
+        """)).split())
+        assert csv_bytes > 5_000_000
+        assert grown < 3 * csv_bytes, grown / csv_bytes
 
     # A tiny checkpoint and MTBF make sqrt(2 * delta * M_eff) underflow to 0.0,
     # whatever the restart time.
