@@ -324,7 +324,7 @@ def simulate_run(
 
 def trace_table(trace: list[tuple]) -> CsvTable:
     """An event trace as a CSV table in the shared dialect."""
-    return CsvTable(TRACE_COLUMNS, tuple(trace))
+    return CsvTable(TRACE_COLUMNS, trace)
 
 
 def _available_cpus() -> int:
