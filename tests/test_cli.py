@@ -690,6 +690,57 @@ def test_fuzz_planning_requests_exit_cleanly(tmp_path_factory, values, argv):
     assert code != 1 or err.getvalue().startswith("error: ")
 
 
+_SWEEP_KEYS = [key for key in _NUMERIC_KEYS if key.startswith(("cluster.", "resilience."))]
+_SWEEP_VALUES = st.one_of(
+    st.sampled_from([0, 1, 2, 5, 8, 0.5, 1e4, 1e6, 1e30]),
+    st.floats(1e-3, 1e7),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(st.sampled_from(_SWEEP_KEYS), _SWEEP_VALUES, max_size=6),
+    st.integers(1, 10**6),
+    st.integers(0, 10**7),
+    st.integers(2, 60),
+)
+def test_fuzz_sweep_reading_matches_its_csv(tmp_path_factory, values, start, span, points):
+    # Each strategy's reading names the first of its OK rows with the lowest
+    # wall_h and its first NoProgress row; the sweep exits 2 exactly when no
+    # row is OK.
+    sections = {}
+    for key, value in values.items():
+        section, name = key.split(".")
+        sections.setdefault(section, []).append(f"  {name}: {value!r}\n")
+    config = tmp_path_factory.mktemp("fuzz") / "config.yaml"
+    config.write_text("".join(f"{s}:\n" + "".join(lines) for s, lines in sections.items()))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["sweep", "--gpus", f"{start}:{start + span}:{points}:geometric",
+                     "--config", str(config)])
+    if code == 1:
+        return
+    header, rows = parse_csv(out.getvalue())
+    n_col, name_col = header.index("n_gpus"), header.index("config")
+    wall_col, status_col = header.index("wall_h"), header.index("status")
+    expected = []
+    for name in dict.fromkeys(row[name_col] for row in rows):
+        own = [row for row in rows if row[name_col] == name]
+        ok = [row for row in own if row[status_col] == "OK"]
+        stalled = [row for row in own if row[status_col] == "NoProgress"]
+        assert len(ok) + len(stalled) == len(own)
+        reading = []
+        if ok:
+            fastest = min(ok, key=lambda row: float(row[wall_col]))
+            reading.append(f"fastest at {fastest[n_col]} GPUs "
+                           f"({float(fastest[wall_col]):.0f} h wall-clock)")
+        if stalled:
+            reading.append(f"NoProgress from {stalled[0][n_col]} GPUs")
+        expected.append(f"{name}: {'; '.join(reading)}\n")
+    assert err.getvalue() == "".join(expected)
+    assert code == (0 if any(row[status_col] == "OK" for row in rows) else 2)
+
+
 def test_planning_requests_skip_simulator_imports(fresh_python, tmp_path):
     config = tmp_path / "config.yaml"
     config.write_text("cluster:\n  fs_bw_gbs: 900  # GB/s\nresilience: {ft_f: 1, ttr_h: 4}\n")
