@@ -128,6 +128,12 @@ NO_RESULT_PINS = [
      "growth: {base_params: 1.0e14}\n",
      ["simulate", "--reps", "2"],
      "9496743ce2b6d72cb0a97b7aad03d93cb990f77b1421b040488b07c09ea5ab62"),
+    # The same censored run with replication 1 in a forked child, whose
+    # infinite wall_h comes back through its marshal pipe.
+    ("cluster: {gpu_mtbf_h: .inf, cpu_mtbf_h: .inf}\n"
+     "growth: {base_params: 1.0e14}\n",
+     ["simulate", "--reps", "2", "--workers", "2"],
+     "9496743ce2b6d72cb0a97b7aad03d93cb990f77b1421b040488b07c09ea5ab62"),
 ]
 
 
@@ -251,8 +257,11 @@ def test_shake_gaps_reproduce_former_pins(
 
 
 @pytest.mark.parametrize("config_text, args, digest", NO_RESULT_PINS,
-                         ids=["sweep_baseline_no_progress", "simulate_censored"])
-def test_no_result_output_pinned(capsys, tmp_path, config_text, args, digest):
+                         ids=["sweep_baseline_no_progress", "simulate_censored",
+                              "simulate_censored_forked"])
+def test_no_result_output_pinned(monkeypatch, capsys, tmp_path, config_text, args, digest):
+    # Two CPUs, so that --workers 2 forks a child on any host.
+    monkeypatch.setattr(failure_sim, "_available_cpus", lambda: 2)
     if config_text:
         config = tmp_path / "config.yaml"
         config.write_text(config_text)
