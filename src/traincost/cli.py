@@ -103,18 +103,15 @@ def parse_range_spec(spec: str) -> list[int]:
         for i in range(count):
             frac = i / (count - 1)
             if spacing == "linear":
-                value = start + (end - start) * frac
+                value = round(start + (end - start) * frac)
             else:
-                value = start * (end / start) ** frac
-            points.append(round(value))
+                value = round(start * (end / start) ** frac)
+            # Rounding can collide on dense grids; keep strictly ascending values.
+            if not points or value > points[-1]:
+                points.append(value)
     except OverflowError:
         raise CliError(f"range spec exceeds float range: {spec!r}")
-    # Rounding can collide on dense grids; keep strictly ascending values.
-    out = []
-    for p in points:
-        if not out or p > out[-1]:
-            out.append(p)
-    return out
+    return points
 
 
 def parse_years_spec(spec: str) -> list[int]:
@@ -183,18 +180,17 @@ def cmd_sweep(config: ConfigFile, gpus_list: list[int]) -> tuple[CsvTable, str, 
     """Time-to-train versus system size; returns (table, summary, series).
 
     Each strategy's series, sorted by name, holds its (n_gpus, wall_h) cells
-    that make progress: a strategy stalled everywhere has an empty one.
+    that make progress: a strategy stalled everywhere has an empty one. The
+    summary reads each strategy's fastest cell from its series, the first of
+    equally fast ones, and names its first NoProgress size.
     """
     model = ModelSpec(config.growth.base_params, config.scenario.base_experts)
     params, experts = float(model.params), model.experts
     flops = float(moe_training_flops(model, config.scaling))
     res = config.resilience
     variants = [SweepVariant("baseline", res), cluster_model.optimized_variant(res)]
-    # Per strategy, as the cells go by: its series, its fastest cell as
-    # (wall_h, n_gpus) and its first NoProgress size. The grid ascends, so
-    # the first of equally fast cells is min()'s pick.
+    # Per strategy, as the cells go by: its series and its first NoProgress size.
     points: dict[str, list] = {variant.name: [] for variant in variants}
-    fastest: dict[str, tuple[float, int]] = {}
     stalled: dict[str, int] = {}
 
     def rows():
@@ -202,9 +198,7 @@ def cmd_sweep(config: ConfigFile, gpus_list: list[int]) -> tuple[CsvTable, str, 
             model, config.scaling, config.cluster, variants, gpus_list
         ):
             if run.ok:
-                points[name].append((float(n_gpus), run.wall_h))
-                if name not in fastest or run.wall_h < fastest[name][0]:
-                    fastest[name] = (run.wall_h, n_gpus)
+                points[name].append((n_gpus, run.wall_h))
             else:
                 stalled.setdefault(name, n_gpus)
             yield (
@@ -215,10 +209,10 @@ def cmd_sweep(config: ConfigFile, gpus_list: list[int]) -> tuple[CsvTable, str, 
 
     table = CsvTable(SWEEP_COLUMNS, rows())
     lines = []
-    for name in points:
+    for name, cells in points.items():
         reading = []
-        if name in fastest:
-            wall, n_gpus = fastest[name]
+        if cells:
+            n_gpus, wall = min(cells, key=lambda cell: cell[1])
             reading.append(f"fastest at {n_gpus} GPUs ({wall:.0f} h wall-clock)")
         if name in stalled:
             reading.append(f"NoProgress from {stalled[name]} GPUs")

@@ -94,7 +94,8 @@ class RunBreakdown:
 
     The derived quantities (MTTI, effective MTTI, checkpoint write time
     delta, checkpoint interval tau, group count and parallel efficiency)
-    are set on NoProgress runs too.
+    are set on NoProgress runs too. The price is in GPU dollars; the cloud
+    price is dollar_cost(gpu_hours, rates)[1].
     """
 
     solve_h: float
@@ -110,7 +111,6 @@ class RunBreakdown:
     wall_h: float
     gpu_hours: float
     gpu_dollars: float
-    cloud_dollars: float
     status: str = STATUS_OK
 
     @property
@@ -266,7 +266,7 @@ def runtime_from_solve(
         restart = inflation - rework
 
     gpu_hours = wall * cluster.n_gpus
-    gpu_dollars, cloud_dollars = dollar_cost(gpu_hours, cluster.rates)
+    gpu_dollars, _ = dollar_cost(gpu_hours, cluster.rates)
     return RunBreakdown(
         solve_h=solve_h,
         mtti_h=mtti,
@@ -281,7 +281,6 @@ def runtime_from_solve(
         wall_h=wall,
         gpu_hours=gpu_hours,
         gpu_dollars=gpu_dollars,
-        cloud_dollars=cloud_dollars,
         status=status,
     )
 

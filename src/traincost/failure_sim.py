@@ -418,9 +418,12 @@ def collect_replications(
     return [shares[i % w][i // w] for i in range(n)]
 
 
-def run_ensemble(config: SimConfig, workers: int = 1) -> SimResult:
-    """Aggregate simulate_run over all replications."""
-    return summarize(collect_replications(config, workers))
+def run_ensemble(config: SimConfig) -> SimResult:
+    """Aggregate simulate_run over all replications, every one run in this process.
+
+    collect_replications(config, workers) shares them among processes.
+    """
+    return summarize(collect_replications(config))
 
 
 def summarize(outcomes: list[tuple[float, EventCounts]]) -> SimResult:
@@ -466,8 +469,10 @@ def analytic_verdict(
     return ValidationReport(run.wall_h, mean, rel, rel <= tolerance)
 
 
-def validate_analytic(
-    config: SimConfig, tolerance: float, workers: int = 1
-) -> ValidationReport:
-    """Simulate the ensemble and judge it with analytic_verdict."""
-    return analytic_verdict(config, run_ensemble(config, workers), tolerance)
+def validate_analytic(config: SimConfig, tolerance: float) -> ValidationReport:
+    """Simulate the ensemble in this process and judge it with analytic_verdict.
+
+    To share the replications among processes, pass
+    summarize(collect_replications(config, workers)) to analytic_verdict.
+    """
+    return analytic_verdict(config, run_ensemble(config), tolerance)

@@ -206,8 +206,8 @@ class TestWorkerBound:
                 model=ModelSpec(1e12, 8), cluster=ClusterSpec(n_gpus=50_000), replications=4)
             sys.stdout.write("unflushed;")
             atexit.register(print, "atexit;", end="")
-            result = failure_sim.run_ensemble(config, workers=2)
-            print(len(result.wall_h), opened, end=";")
+            outcomes = failure_sim.collect_replications(config, 2)
+            print(len(outcomes), opened, end=";")
         """))
         assert out == "unflushed;4 [(0, 0), (0, 2)];atexit;"
 
