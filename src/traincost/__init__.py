@@ -40,7 +40,8 @@ __version__ = "0.1.0"
 # The simulator's public names, imported from failure_sim on first use, so
 # that importing the package (and every planning request) skips it.
 _SIMULATOR = (
-    "SimConfig", "SimResult", "analytic_verdict", "run_ensemble", "simulate_run", "validate_analytic",
+    "SimConfig", "SimResult", "analytic_verdict", "collect_replications", "simulate_run",
+    "summarize", "validate_analytic",
 )
 
 
@@ -70,6 +71,7 @@ __all__ = [
     "SweepVariant",
     "YearRow",
     "analytic_verdict",
+    "collect_replications",
     "dense_training_flops",
     "dollar_cost",
     "expected_runtime",
@@ -79,10 +81,10 @@ __all__ = [
     "moe_training_flops",
     "parse_config",
     "required_tokens",
-    "run_ensemble",
     "scenario_spread",
     "serialize",
     "simulate_run",
+    "summarize",
     "sweep_system_size",
     "training_cost_at",
     "validate_analytic",

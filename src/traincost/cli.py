@@ -11,6 +11,7 @@ in the NoProgress regime, 3 on I/O failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from collections.abc import Iterable
@@ -135,6 +136,12 @@ def default_years(config: ConfigFile) -> list[int]:
     return list(range(base, base + DEFAULT_YEARS_AHEAD + 1))
 
 
+def _require_finite(*values: float) -> None:
+    """OverflowError unless every value is finite: the table would print it as an empty cell."""
+    if not all(map(math.isfinite, values)):
+        raise OverflowError
+
+
 def _select_scenarios(config: ConfigFile, names_arg: str) -> list[Scenario]:
     scenarios = []
     for name in names_arg.split(","):
@@ -162,11 +169,10 @@ def cmd_cost(config: ConfigFile, params: float, experts: int) -> tuple[CsvTable,
     flops = moe_training_flops(model, config.scaling)
     gpu_hours = ideal_gpu_hours(flops, rates)
     gpu_usd, cloud_usd = dollar_cost(gpu_hours, rates)
-    table = CsvTable(
-        COST_COLUMNS,
-        ((float(params), int(experts), float(tokens), float(flops),
-          float(gpu_hours), float(gpu_usd), float(cloud_usd)),),
-    )
+    row = (float(params), int(experts), float(tokens), float(flops),
+           float(gpu_hours), float(gpu_usd), float(cloud_usd))
+    _require_finite(*row)
+    table = CsvTable(COST_COLUMNS, (row,))
     summary = (
         f"model: {params:.3g} params, {experts} expert(s)\n"
         f"training compute: {flops:.4g} FLOP ({tokens:.4g} tokens)\n"
@@ -198,6 +204,7 @@ def cmd_sweep(config: ConfigFile, gpus_list: list[int]) -> tuple[CsvTable, str, 
             model, config.scaling, config.cluster, variants, gpus_list
         ):
             if run.ok:
+                _require_finite(run.wall_h, run.gpu_hours, run.gpu_dollars)
                 points[name].append((n_gpus, run.wall_h))
             else:
                 stalled.setdefault(name, n_gpus)
@@ -229,12 +236,15 @@ def cmd_project(
     the two market curves, which do not depend on the scenario.
     """
     rates = config.cluster.rates
-    projected = []
+    rows = []
     lines = []
     series = []
     for scenario in scenarios:
         year_rows = projection.project_years(years, config.growth, scenario, rates, config.market)
-        projected.append((scenario.name, year_rows))
+        for year_row in year_rows:
+            cells = astuple(year_row)
+            _require_finite(*cells)
+            rows.append((scenario.name, *cells))
         series.append((scenario.name, [(float(r.year), r.gpu_cost_usd) for r in year_rows]))
         crossings = projection.intersection_year(
             config.growth, scenario, rates, config.market
@@ -254,7 +264,6 @@ def cmd_project(
     series.sort()
     series.append(("gpu installed base", [(float(r.year), r.gpu_base_usd) for r in year_rows]))
     series.append(("it spending", [(float(r.year), r.it_spend_usd) for r in year_rows]))
-    rows = ((name, *astuple(row)) for name, year_rows in projected for row in year_rows)
     return CsvTable(PROJECT_COLUMNS, rows), "\n".join(lines) + "\n", series
 
 

@@ -125,7 +125,6 @@ class EventCounts:
 
 @dataclass(frozen=True)
 class SimResult:
-    wall_h: tuple[float, ...]
     mean_wall_h: float
     stddev_wall_h: float
     ci95_half_width_h: float
@@ -418,14 +417,6 @@ def collect_replications(
     return [shares[i % w][i // w] for i in range(n)]
 
 
-def run_ensemble(config: SimConfig) -> SimResult:
-    """Aggregate simulate_run over all replications, every one run in this process.
-
-    collect_replications(config, workers) shares them among processes.
-    """
-    return summarize(collect_replications(config))
-
-
 def summarize(outcomes: list[tuple[float, EventCounts]]) -> SimResult:
     walls = tuple(wall for wall, _ in outcomes)
     n = len(walls)
@@ -440,7 +431,6 @@ def summarize(outcomes: list[tuple[float, EventCounts]]) -> SimResult:
         stddev = math.nan
         half_width = math.nan
     return SimResult(
-        wall_h=walls,
         mean_wall_h=mean,
         stddev_wall_h=stddev,
         ci95_half_width_h=half_width,
@@ -470,9 +460,5 @@ def analytic_verdict(
 
 
 def validate_analytic(config: SimConfig, tolerance: float) -> ValidationReport:
-    """Simulate the ensemble in this process and judge it with analytic_verdict.
-
-    To share the replications among processes, pass
-    summarize(collect_replications(config, workers)) to analytic_verdict.
-    """
-    return analytic_verdict(config, run_ensemble(config), tolerance)
+    """analytic_verdict on the replications, every one run in this process."""
+    return analytic_verdict(config, summarize(collect_replications(config)), tolerance)

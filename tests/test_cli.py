@@ -465,6 +465,26 @@ class TestHugeCounts:
         assert err.startswith(f"error: {field} must be")
 
 
+    # Each of these once exited 0, with empty cells or "$inf" in its output.
+    @pytest.mark.parametrize("config, args", [
+        ("", ["cost", "1e308"]),
+        ("scaling: {tokens_per_param: 1e300}\n", ["cost", "1e12"]),
+        ("cluster: {cost_per_gpu_h: 1e308}\n", ["sweep", "--gpus", "50000"]),
+        ("cluster: {cost_per_gpu_h: 1e308}\n", ["project", "--years", "2023:2024"]),
+        ("cluster: {cost_per_gpu_h: 1e308}\n", ["report", "--reps", "2"]),
+    ], ids=["cost_params", "cost_tokens", "sweep_price", "project_price", "report_price"])
+    def test_result_past_float_range_is_config_error(self, capsys, tmp_path, config, args):
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(config)
+        out_path = tmp_path / "out.csv"
+        for out_args in ([], ["--out", str(out_path)]):
+            code, out, err = run_cli(capsys, *args, "--config", str(cfg), *out_args)
+            assert code == 1
+            assert out == ""
+            assert err == "error: a result exceeds float range; use smaller inputs\n"
+        assert not out_path.exists()
+
+
 class TestOutputsAndExitCodes:
     def test_out_file(self, capsys, tmp_path):
         out_path = tmp_path / "cost.csv"
@@ -676,18 +696,27 @@ _VALUES = st.one_of(
 )
 def test_fuzz_planning_requests_exit_cleanly(tmp_path_factory, values, argv):
     # Any config subset and any request either succeeds or exits 1 or 2 with
-    # a message: no input reaches the user as a traceback.
+    # a message: no input reaches the user as a traceback. A cost or project
+    # request that succeeds prints no empty cell, and a sweep none in the
+    # results of an OK row: only NoProgress results and the MTTIs of
+    # infinite MTBFs are left empty.
     sections = {}
     for key, value in values.items():
         section, name = key.split(".")
         sections.setdefault(section, []).append(f"  {name}: {value!r}\n")
     config = tmp_path_factory.mktemp("fuzz") / "config.yaml"
     config.write_text("".join(f"{s}:\n" + "".join(lines) for s, lines in sections.items()))
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([*argv, "--config", str(config)])
     assert code in (0, 1, 2)
     assert code != 1 or err.getvalue().startswith("error: ")
+    if code == 0:
+        header, rows = parse_csv(out.getvalue())
+        if argv[0] == "sweep":
+            columns = [header.index(c) for c in ("wall_h", "gpu_hours", "gpu_cost_usd")]
+            rows = [[row[c] for c in columns] for row in rows if row[-1] == "OK"]
+        assert all(all(row) for row in rows), out.getvalue()
 
 
 _SWEEP_KEYS = [key for key in _NUMERIC_KEYS if key.startswith(("cluster.", "resilience."))]
@@ -776,10 +805,13 @@ def test_package_exports_the_simulator_on_first_use(fresh_python):
         import traincost
         print("traincost.failure_sim" in sys.modules)
         from traincost import (
-            SimConfig, SimResult, analytic_verdict, run_ensemble, simulate_run, validate_analytic,
+            SimConfig, SimResult, analytic_verdict, collect_replications, simulate_run, summarize,
+            validate_analytic,
         )
         from traincost import failure_sim
-        print(SimConfig is failure_sim.SimConfig, run_ensemble is failure_sim.run_ensemble)
+        print(SimConfig is failure_sim.SimConfig,
+              collect_replications is failure_sim.collect_replications,
+              summarize is failure_sim.summarize)
         print(all(hasattr(traincost, name) for name in traincost.__all__))
         try:
             traincost.no_such_name
@@ -788,7 +820,7 @@ def test_package_exports_the_simulator_on_first_use(fresh_python):
     """))
     assert out.splitlines() == [
         "False",
-        "True True",
+        "True True True",
         "True",
         "module 'traincost' has no attribute 'no_such_name'",
     ]

@@ -5,6 +5,7 @@ import os
 import pickle
 import statistics
 import struct
+import sys
 import textwrap
 from collections import deque
 from collections.abc import Iterator
@@ -40,7 +41,6 @@ from traincost.failure_sim import (
     _run_events,
     analytic_verdict,
     collect_replications,
-    run_ensemble,
     simulate_run,
     summarize,
     validate_analytic,
@@ -181,6 +181,34 @@ class TestWorkerBound:
             print(stderr.read(), end=";")
         """))
         assert out == "replication 0 True;reaped;b'';"
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="lists /proc/self/fd")
+    def test_no_descriptor_or_child_left_behind(self, monkeypatch):
+        # Three runs at 3 workers, whose shares are (0, 3), (1, 4) and (2, 5):
+        # one that succeeds, one whose child fails and one whose own share
+        # fails. Each closes every pipe end it opened and reaps every child.
+        real_simulate_run = failure_sim.simulate_run
+
+        def failing_at(bad):
+            def outcome(config, index):
+                if index == bad:
+                    raise ArithmeticError(f"replication {bad}")
+                return real_simulate_run(config, index)
+            return outcome
+
+        monkeypatch.setattr(failure_sim, "_available_cpus", lambda: 3)
+        config = reference_config(replications=6)
+        before = os.listdir("/proc/self/fd")
+        assert len(collect_replications(config, 3)) == 6
+        monkeypatch.setattr(failure_sim, "simulate_run", failing_at(4))
+        with pytest.raises(RuntimeError, match="simulation worker 1 exited with status 1"):
+            collect_replications(config, 3)
+        monkeypatch.setattr(failure_sim, "simulate_run", failing_at(3))
+        with pytest.raises(ArithmeticError, match="replication 3"):
+            collect_replications(config, 3)
+        assert sorted(os.listdir("/proc/self/fd")) == sorted(before)
+        with pytest.raises(ChildProcessError):  # no child is left to reap
+            os.waitpid(-1, os.WNOHANG)
 
     def test_uneven_shares_interleave_in_index_order(self, monkeypatch):
         config = reference_config(replications=7)
@@ -694,9 +722,32 @@ class TestFailureFree:
 
     def test_ensemble_stddev_zero(self):
         cluster = replace(CLUSTER_50K, gpu_mtbf_h=math.inf, cpu_mtbf_h=math.inf)
-        result = run_ensemble(reference_config(cluster=cluster, replications=50))
+        result = summarize(collect_replications(reference_config(cluster=cluster, replications=50)))
         assert result.stddev_wall_h == 0.0
         assert result.ci95_half_width_h == 0.0
+
+
+class TestExactF0Expectation:
+    # At F=0 the expected wall-clock is the renewal-reward sum of the README's
+    # Caveats: ceil(W/tau) - 1 segments of T = tau + delta, then one of the
+    # remaining work, each costing (MTTI + ttr) * expm1(T / MTTI). Young/Daly
+    # would pick tau = 2.83, 4.0 and 1.0 h for these cases.
+    @pytest.mark.parametrize("work, tau, delta, mtti, ttr", [
+        (200.0, 5.0, 0.5, 8.0, 2.0),
+        (200.0, 13.0, 1.0, 8.0, 0.0),
+        (60.0, 3.0, 0.25, 2.0, 1.0),
+    ])
+    def test_simulated_mean_matches_renewal_reward_sum(self, work, tau, delta, mtti, ttr):
+        full = math.ceil(work / tau) - 1
+        segments = [tau + delta] * full + [work - full * tau]
+        exact = math.fsum((mtti + ttr) * math.expm1(t / mtti) for t in segments)
+        run, resilience, horizon, _ = loop_case(
+            1, 0, mtti, ttr, failure_sim.MAX_WALL_H, solve_h=work, tau_h=tau, delta_h=delta)
+        n = 4000
+        walls = [_run_events(run, resilience, _replication_gaps(7, i), horizon)[0]
+                 for i in range(n)]
+        z = (statistics.fmean(walls) - exact) / (statistics.stdev(walls) / math.sqrt(n))
+        assert abs(z) <= 3, z
 
 
 class TestOracleAgreement:
@@ -740,45 +791,48 @@ class TestOracleAgreement:
 class TestStochasticProperties:
     def test_interrupt_count_tracks_mtti_at_zero_tolerance(self):
         config = reference_config(replications=1000)
-        result = run_ensemble(config)
+        result = summarize(collect_replications(config))
         mtti = 1.0 / (50_000 / 950_000 + 12_500 / 1_500_000)
         expected = result.mean_wall_h / mtti
         assert abs(result.mean_interrupts - expected) / expected <= 0.15
 
     def test_more_tolerance_never_hurts(self):
-        base = run_ensemble(reference_config(replications=300))
-        tolerant = run_ensemble(
+        base = summarize(collect_replications(reference_config(replications=300)))
+        tolerant = summarize(collect_replications(
             reference_config(
                 replications=300,
                 resilience=replace(BASELINE, tolerated_group_failures=5),
             )
-        )
+        ))
         noise = base.ci95_half_width_h + tolerant.ci95_half_width_h
         assert tolerant.mean_wall_h <= base.mean_wall_h + noise
 
     def test_faster_checkpoints_never_hurt(self):
-        base = run_ensemble(reference_config(replications=300))
-        faster = run_ensemble(
+        base = summarize(collect_replications(reference_config(replications=300)))
+        faster = summarize(collect_replications(
             reference_config(replications=300, cluster=replace(CLUSTER_50K, fs_bw_gbs=2000.0))
-        )
+        ))
         noise = base.ci95_half_width_h + faster.ci95_half_width_h
         assert faster.mean_wall_h <= base.mean_wall_h + noise
 
 
 class TestEnsembleStatistics:
     def test_single_replication(self):
-        result = run_ensemble(reference_config(replications=1))
-        assert result.mean_wall_h == result.wall_h[0]
+        outcomes = collect_replications(reference_config(replications=1))
+        result = summarize(outcomes)
+        assert result.mean_wall_h == outcomes[0][0]
         assert math.isnan(result.stddev_wall_h)
         assert math.isnan(result.ci95_half_width_h)
 
     def test_mean_within_range(self):
-        result = run_ensemble(reference_config(replications=20))
-        assert min(result.wall_h) <= result.mean_wall_h <= max(result.wall_h)
+        outcomes = collect_replications(reference_config(replications=20))
+        walls = [wall for wall, _ in outcomes]
+        result = summarize(outcomes)
+        assert min(walls) <= result.mean_wall_h <= max(walls)
         assert result.ci95_half_width_h >= 0.0
 
     def test_generator_recorded(self):
-        result = run_ensemble(reference_config(replications=1))
+        result = summarize(collect_replications(reference_config(replications=1)))
         assert result.generator == GENERATOR_NAME
 
     def test_summarize_rejects_nothing_censored_runs_to_inf_mean(self):
