@@ -465,7 +465,8 @@ class TestHugeCounts:
         assert err.startswith(f"error: {field} must be")
 
 
-    # Each of these once exited 0, with empty cells or "$inf" in its output.
+    # Each request has a result past float range, which would print as an
+    # empty cell or as "$inf".
     @pytest.mark.parametrize("config, args", [
         ("", ["cost", "1e308"]),
         ("scaling: {tokens_per_param: 1e300}\n", ["cost", "1e12"]),

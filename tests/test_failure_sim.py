@@ -198,7 +198,7 @@ class TestWorkerBound:
 
         monkeypatch.setattr(failure_sim, "_available_cpus", lambda: 3)
         config = reference_config(replications=6)
-        before = os.listdir("/proc/self/fd")
+        before = sorted(os.listdir("/proc/self/fd"))
         assert len(collect_replications(config, 3)) == 6
         monkeypatch.setattr(failure_sim, "simulate_run", failing_at(4))
         with pytest.raises(RuntimeError, match="simulation worker 1 exited with status 1"):
@@ -206,7 +206,7 @@ class TestWorkerBound:
         monkeypatch.setattr(failure_sim, "simulate_run", failing_at(3))
         with pytest.raises(ArithmeticError, match="replication 3"):
             collect_replications(config, 3)
-        assert sorted(os.listdir("/proc/self/fd")) == sorted(before)
+        assert sorted(os.listdir("/proc/self/fd")) == before
         with pytest.raises(ChildProcessError):  # no child is left to reap
             os.waitpid(-1, os.WNOHANG)
 
