@@ -299,6 +299,15 @@ class TestProject:
         assert code == 0
         assert "best_guess: crosses GPU installed base in 0.00, IT spending in 0.00\n" in err
 
+    def test_unreached_market_leaves_the_spread_undefined(self, capsys, tmp_path):
+        config = tmp_path / "market.yaml"
+        config.write_text("market: {gpu_base_usd: 1.0e+60}\n")
+        code, _, err = run_cli(capsys, "project", "--config", str(config))
+        assert code == 0
+        assert err == (
+            "best_guess: crosses GPU installed base never, IT spending in 2032.37\n"
+            "scenario spread: undefined (a scenario never crosses)\n"
+        )
 
     @pytest.mark.parametrize("config_text, base_year", [
         ("growth: {base_year: 2040}\n", 2040),  # 2023 is more than a decade before it
@@ -504,6 +513,16 @@ class TestOutputsAndExitCodes:
         code, _, err = run_cli(capsys, "cost", "1e12", "--config", str(cfg))
         assert code == 1
         assert "gpu_mtbf_h" in err
+
+    # argparse alone would exit 2; the module docstring promises 1.
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--seed", "abc"], [], ["bogus"], ["sweep", "--nope"],
+    ], ids=["bad_value", "no_command", "unknown_command", "unknown_flag"])
+    def test_bad_arguments_are_config_error(self, capsys, args):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_missing_config_file_is_io_error(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "cost", "1e12", "--config", str(tmp_path / "nope.yaml"))
