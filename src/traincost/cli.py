@@ -256,11 +256,9 @@ def cmd_project(
             f"{'never' if gpu_x is None else 'in %.2f' % gpu_x}, "
             f"IT spending {'never' if it_x is None else 'in %.2f' % it_x}"
         )
-    try:
-        spread = projection.scenario_spread(config.growth, rates, config.market)
-        lines.append(f"scenario spread (GPU-base crossing): {spread:.2f} years")
-    except ValueError:
-        lines.append("scenario spread: undefined (a scenario never crosses)")
+    spread = projection.scenario_spread(config.growth, rates, config.market)
+    lines.append("scenario spread: undefined (a scenario never crosses)" if spread is None
+                 else f"scenario spread (GPU-base crossing): {spread:.2f} years")
     series.sort()
     series.append(("gpu installed base", [(float(r.year), r.gpu_base_usd) for r in year_rows]))
     series.append(("it spending", [(float(r.year), r.it_spend_usd) for r in year_rows]))

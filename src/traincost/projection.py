@@ -206,19 +206,16 @@ def project_years(
     return [training_cost_at(y, growth, scenario, rates, market) for y in years]
 
 
-def _first_crossing(
-    years: list[int], costs: list[float], values: list[float]
-) -> float | None:
-    """First fractional year where cost >= value, log-interpolated."""
-    for i, (cost, value) in enumerate(zip(costs, values)):
-        if cost >= value:
+def _first_crossing(rows: list[YearRow], curve: str) -> float | None:
+    """First fractional year where the cost reaches the named market curve, log-interpolated."""
+    for i, row in enumerate(rows):
+        if row.gpu_cost_usd >= getattr(row, curve):
             if i == 0:
-                return float(years[0])
-            c0, v0 = costs[i - 1], values[i - 1]
-            gap0 = math.log(v0) - math.log(c0)
-            gap1 = math.log(value) - math.log(cost)
-            frac = gap0 / (gap0 - gap1)
-            return years[i - 1] + frac
+                return float(row.year)
+            prev = rows[i - 1]
+            gap0 = math.log(getattr(prev, curve)) - math.log(prev.gpu_cost_usd)
+            gap1 = math.log(getattr(row, curve)) - math.log(row.gpu_cost_usd)
+            return prev.year + gap0 / (gap0 - gap1)
     return None
 
 
@@ -236,19 +233,14 @@ def intersection_year(
     """
     years = list(range(growth.base_year, growth.base_year + GRID_SPAN_YEARS + 1))
     rows = project_years(years, growth, scenario, rates, market)
-    costs = [row.gpu_cost_usd for row in rows]
     return Intersections(
-        gpu_base_crossing=_first_crossing(years, costs, [r.gpu_base_usd for r in rows]),
-        it_spend_crossing=_first_crossing(years, costs, [r.it_spend_usd for r in rows]),
+        gpu_base_crossing=_first_crossing(rows, "gpu_base_usd"),
+        it_spend_crossing=_first_crossing(rows, "it_spend_usd"),
     )
 
 
-def scenario_spread(growth: GrowthModel, rates: CostRates, market: MarketModel) -> float:
-    """Max pairwise gap, in years, between the preset scenarios' GPU-base crossings."""
-    crossings = []
-    for scenario in SCENARIOS.values():
-        crossing = intersection_year(growth, scenario, rates, market).gpu_base_crossing
-        if crossing is None:
-            raise ValueError(f"scenario {scenario.name!r} never crosses the GPU base curve")
-        crossings.append(crossing)
-    return max(crossings) - min(crossings)
+def scenario_spread(growth: GrowthModel, rates: CostRates, market: MarketModel) -> float | None:
+    """Max gap, in years, between the presets' GPU-base crossings; None if one never crosses."""
+    crossings = [intersection_year(growth, scenario, rates, market).gpu_base_crossing
+                 for scenario in SCENARIOS.values()]
+    return None if None in crossings else max(crossings) - min(crossings)

@@ -219,10 +219,9 @@ class TestScenarioSpread:
         expected = float(mp.log(6) / (mpf("1.91") * mp.log(mpf("2.8"))))
         assert math.isclose(spread, expected, rel_tol=1e-9)
 
-    def test_missing_crossing_raises(self):
+    def test_missing_crossing_is_none(self):
         market = MarketModel(gpu_installed_base_usd=1e60)
-        with pytest.raises(ValueError):
-            scenario_spread(GROWTH, RATES, market)
+        assert scenario_spread(GROWTH, RATES, market) is None
 
 
 @given(st.floats(min_value=0.1, max_value=5.0), st.integers(min_value=2024, max_value=2040))
