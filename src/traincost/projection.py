@@ -227,12 +227,17 @@ def intersection_year(
 ) -> Intersections:
     """Where the projected GPU cost first exceeds each market curve.
 
-    Curves are evaluated on a yearly grid from the base year and crossings
-    interpolated linearly in log space; None when there is no crossing in
-    range.
+    Curves are evaluated on a yearly grid from the base year, up to the
+    first year whose cost reaches both curves, and crossings interpolated
+    linearly in log space; None when there is no crossing in range.
     """
-    years = list(range(growth.base_year, growth.base_year + GRID_SPAN_YEARS + 1))
-    rows = project_years(years, growth, scenario, rates, market)
+    rows = []
+    for year in range(growth.base_year, growth.base_year + GRID_SPAN_YEARS + 1):
+        row = training_cost_at(year, growth, scenario, rates, market)
+        rows.append(row)
+        # Later years cannot move either first crossing, and their cost may overflow.
+        if row.gpu_cost_usd >= row.gpu_base_usd and row.gpu_cost_usd >= row.it_spend_usd:
+            break
     return Intersections(
         gpu_base_crossing=_first_crossing(rows, "gpu_base_usd"),
         it_spend_crossing=_first_crossing(rows, "it_spend_usd"),

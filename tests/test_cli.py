@@ -309,6 +309,37 @@ class TestProject:
             "scenario spread: undefined (a scenario never crosses)\n"
         )
 
+    # The cost crosses both curves in 2023 and overflows from about 2040,
+    # past the years asked for; only the crossing scan reaches those years.
+    FAST_GROWTH = "growth: {param_growth: 1.0e+15}\n"
+
+    def test_overflow_after_both_crossings_is_not_reached(self, capsys, tmp_path):
+        config = tmp_path / "fast.yaml"
+        config.write_text(self.FAST_GROWTH)
+        code, out, err = run_cli(
+            capsys, "project", "--years", "2023:2024", "--config", str(config)
+        )
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [r[1] for r in rows] == ["2023", "2024"]
+        assert err == (
+            "best_guess: crosses GPU installed base in 2023.14, IT spending in 2023.21\n"
+            "scenario spread (GPU-base crossing): 0.03 years\n"
+        )
+
+    def test_overflow_before_both_crossings_is_an_error(self, capsys, tmp_path):
+        config = tmp_path / "fast.yaml"
+        config.write_text(self.FAST_GROWTH + "market: {it_spend_usd: 1.0e+300}\n")
+        out_path = tmp_path / "out.csv"
+        code, out, err = run_cli(
+            capsys, "project", "--years", "2023:2024", "--config", str(config),
+            "--out", str(out_path),
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: a result exceeds float range; use smaller inputs\n"
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("config_text, base_year", [
         ("growth: {base_year: 2040}\n", 2040),  # 2023 is more than a decade before it
         (YEAR_ZERO_CONFIG, 0),  # 2023 years of growth overflow float range
