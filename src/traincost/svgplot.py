@@ -3,7 +3,8 @@
 Cosmetic companions to the CSV tables: no timestamps, no random ids, byte
 output depends only on the data, so charts can be diffed like the tables.
 The y axis is logarithmic. Points that are not finite, or not positive on
-a logarithmic axis, are dropped from their series.
+a logarithmic axis, are dropped from their series; a series left with one
+point is drawn as a dot.
 """
 
 from __future__ import annotations
@@ -90,8 +91,13 @@ def line_chart(
         color = _PALETTE[i % len(_PALETTE)]
         coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)
         lx, ly = _MARGIN_LEFT + 12, _MARGIN_TOP + 16 + 16 * i
+        if len(pts) == 1:  # a polyline of one point draws nothing
+            cx, cy = coords.split(",")
+            mark = f'<circle cx="{cx}" cy="{cy}" r="3" fill="{color}"/>'
+        else:
+            mark = f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         out += [
-            f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>',
+            mark,
             f'<line x1="{lx:.2f}" y1="{ly - 4:.2f}" x2="{lx + 18:.2f}" y2="{ly - 4:.2f}" '
             f'stroke="{color}" stroke-width="2"/>',
             _text(f"{lx + 24:.2f}", f"{ly:.2f}", None, 12, name),

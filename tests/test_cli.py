@@ -616,6 +616,19 @@ class TestSvg:
             ".costs", ".costs.svg", ".timings", ".timings.svg",
         ]
 
+    @pytest.mark.parametrize("gpus, dots, lines", [
+        ("92682:131072:2:geometric", 1, 1),  # the baseline is NoProgress at 131,072
+        ("50000", 2, 0),
+    ])
+    def test_one_point_series_is_a_dot(self, capsys, tmp_path, gpus, dots, lines):
+        code, _, _ = run_cli(
+            capsys, "sweep", "--gpus", gpus, "--out", str(tmp_path / "s.csv"), "--svg"
+        )
+        assert code == 0
+        svg = (tmp_path / "s.svg").read_text()
+        assert svg.count("<circle ") == dots
+        assert svg.count("<polyline ") == lines
+
     def test_all_no_progress_skips_the_chart(self, capsys, tmp_path):
         cfg = tmp_path / "hopeless.yaml"
         cfg.write_text("cluster:\n  gpu_mtbf_h: 0.01\n")

@@ -113,6 +113,12 @@ SVG_PINS = [
     # Two scenarios, one of them custom, next to the market curves.
     (EVERY_KEY_CONFIG, ["project", "--scenario", "best_case,custom", "--years", "2024:2040"],
      "833372125e017cf5ebba3a607f3b21cff6732105d856849cf2dedb0c629178e8"),
+    # One-point series, drawn as dots: the baseline is OK only at 92,682 GPUs;
+    # a single size leaves both strategies one point on an x range of zero.
+    ("", ["sweep", "--gpus", "92682:131072:2:geometric"],
+     "19ae1603a79d5475fe4083745611a1b26972a44105e4637afe9d4f3dc7630a8d"),
+    ("", ["sweep", "--gpus", "50000"],
+     "596b584a79a2bdda10a3c0f0548a372cb352822187724fd057c7c64d5a161e4d"),
 ]
 
 
@@ -165,7 +171,8 @@ def test_degraded_output_pinned(capsys, tmp_path, config_text, args, digest):
 
 @pytest.mark.parametrize("config_text, args, digest", SVG_PINS,
                          ids=["sweep", "every_key_sweep", "project",
-                              "sweep_baseline_no_progress", "every_key_project_best_case_custom"])
+                              "sweep_baseline_no_progress", "every_key_project_best_case_custom",
+                              "sweep_baseline_one_point", "sweep_one_size"])
 def test_chart_pinned(tmp_path, config_text, args, digest):
     if config_text:
         config = tmp_path / "config.yaml"
