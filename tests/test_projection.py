@@ -2,13 +2,15 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from traincost import projection
 from traincost.projection import (
+    GRID_SPAN_YEARS,
     SCENARIOS,
     GrowthModel,
+    Intersections,
     MarketModel,
     Scenario,
     compute_growth_rate,
@@ -222,6 +224,111 @@ class TestScenarioSpread:
     def test_missing_crossing_is_none(self):
         market = MarketModel(gpu_installed_base_usd=1e60)
         assert scenario_spread(GROWTH, RATES, market) is None
+
+
+def _grid_scan(years, growth, scenario, market):
+    """The former crossing scan: every year given, then parallel year, cost and market lists."""
+    rows = project_years(years, growth, scenario, RATES, market)
+    costs = [row.gpu_cost_usd for row in rows]
+
+    def first_crossing(values):
+        for i, (cost, value) in enumerate(zip(costs, values)):
+            if cost >= value:
+                if i == 0:
+                    return float(years[0])
+                gap0 = math.log(values[i - 1]) - math.log(costs[i - 1])
+                gap1 = math.log(value) - math.log(cost)
+                return years[i - 1] + gap0 / (gap0 - gap1)
+        return None
+
+    return Intersections(first_crossing([r.gpu_base_usd for r in rows]),
+                         first_crossing([r.it_spend_usd for r in rows]))
+
+
+def _expected_crossings(growth, scenario, market):
+    """What intersection_year returns, or raises, by the former scan of the whole grid.
+
+    The one departure: an OverflowError in a year after one whose cost
+    reaches both curves gives the crossings found before it.
+    """
+    grid = list(range(growth.base_year, growth.base_year + GRID_SPAN_YEARS + 1))
+    try:
+        return _grid_scan(grid, growth, scenario, market)
+    except OverflowError:
+        before = []
+        for year in grid:
+            try:
+                row = training_cost_at(year, growth, scenario, RATES, market)
+            except OverflowError:
+                break
+            before.append(year)
+            if row.gpu_cost_usd >= row.gpu_base_usd and row.gpu_cost_usd >= row.it_spend_usd:
+                return _grid_scan(before, growth, scenario, market)
+        raise
+
+
+def _powers_of_ten(lo, hi):
+    return st.floats(min_value=lo, max_value=hi).map(lambda exponent: 10.0**exponent)
+
+
+_GROWTHS = st.builds(
+    GrowthModel,
+    base_params=_powers_of_ten(6, 15),
+    param_growth_per_year=_powers_of_ten(-2, 16),
+    gpu_perf_per_dollar_doubling_years=st.floats(min_value=0.5, max_value=10.0),
+)
+_SCENARIOS = st.builds(
+    Scenario,
+    name=st.just("custom"),
+    experts_per_year=st.floats(min_value=0.0, max_value=16.0),
+    flop_per_param_with_tokens=_powers_of_ten(0, 3),
+    base_experts=st.integers(min_value=1, max_value=64),
+    token_scaling=st.floats(min_value=1.0, max_value=2.5),
+)
+_MARKETS = st.builds(
+    MarketModel,
+    gpu_installed_base_usd=_powers_of_ten(0, 40),
+    gpu_installed_base_growth=st.floats(min_value=-0.5, max_value=3.0),
+    it_spend_usd=_powers_of_ten(0, 40),
+    it_spend_growth=st.floats(min_value=-0.5, max_value=3.0),
+)
+# Both curves are crossed in the base year's first months, and the cost
+# overflows from about 2040.
+_FAST_GROWTH = GrowthModel(param_growth_per_year=1e15)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_GROWTHS, _SCENARIOS, _MARKETS)
+@example(_FAST_GROWTH, BEST_GUESS, MARKET)
+@example(_FAST_GROWTH, BEST_GUESS, MarketModel(it_spend_usd=1e300))  # overflows first
+def test_crossings_match_the_full_grid_scan(growth, scenario, market):
+    try:
+        expected = _expected_crossings(growth, scenario, market)
+    except Exception as exc:
+        with pytest.raises(type(exc)):
+            intersection_year(growth, scenario, RATES, market)
+    else:
+        assert intersection_year(growth, scenario, RATES, market) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(_GROWTHS, _MARKETS)
+@example(_FAST_GROWTH, MARKET)
+@example(GROWTH, MarketModel(gpu_installed_base_usd=1e60))
+def test_spread_is_none_exactly_when_a_preset_never_crosses(growth, market):
+    crossings = []
+    for scenario in SCENARIOS.values():
+        try:
+            crossings.append(_expected_crossings(growth, scenario, market).gpu_base_crossing)
+        except Exception as exc:
+            with pytest.raises(type(exc)):
+                scenario_spread(growth, RATES, market)
+            return
+    spread = scenario_spread(growth, RATES, market)
+    if None in crossings:
+        assert spread is None
+    else:
+        assert spread == max(crossings) - min(crossings)
 
 
 @given(st.floats(min_value=0.1, max_value=5.0), st.integers(min_value=2024, max_value=2040))
