@@ -9,7 +9,8 @@ one-line flow mapping "{key: value, ...}"; plain values, quoted values
 without escapes, and empty values. Anything else (tabs, sequences, nested
 mappings, multi-line flow, anchors, tags, block scalars, "---", ": "
 inside a plain value) exits as "malformed config: ... (line N)". On the
-subset it reads what PyYAML reads; the tests check it against PyYAML.
+subset it reads what PyYAML reads; the tests check it against PyYAML. A
+section or key named twice is an error; PyYAML would keep the last one.
 
 One table, _FIELDS, maps every key to the dataclass attribute it sets,
 in serialization order. Every key is optional: a missing key keeps the
@@ -190,6 +191,7 @@ def _scan(text: str) -> dict[str, tuple[str, int]]:
         raise _malformed(f"unsupported character {text[at]!r}", text.count("\n", 0, at) + 1)
     out: dict[str, tuple[str, int]] = {}
     section = None
+    seen = set()  # the sections named so far
     indent = None  # the section's key indentation: "" before its first key, None if closed
     for line, content in enumerate(text.split("\n"), 1):
         if re.fullmatch(_BLANK, content):
@@ -201,6 +203,9 @@ def _scan(text: str) -> dict[str, tuple[str, int]]:
         if not pad:
             if name not in _SECTIONS:
                 raise ConfigError(f"unknown section {name!r} (line {line})")
+            if name in seen:
+                raise ConfigError(f"duplicate section {name!r} (line {line})")
+            seen.add(name)
             section, indent = name, ""
             if re.fullmatch(_BLANK, rest):
                 continue

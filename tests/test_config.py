@@ -83,6 +83,12 @@ class TestValidation:
         with pytest.raises(ConfigError):
             parse_config("cluster:\n  gpu_mem_gb: 80\n  gpu_mem_gb: 90\n")
 
+    def test_duplicate_section_rejected(self):
+        # PyYAML's safe_load would keep only the second cluster section.
+        text = "cluster:\n  gpu_mtbf_h: 1000\nscaling:\n  flop_per_token: 6\ncluster:\n  gpu_mem_gb: 40\n"
+        with pytest.raises(ConfigError, match=r"^duplicate section 'cluster' \(line 5\)$"):
+            parse_config(text)
+
     def test_integer_keys_reject_fractions(self):
         with pytest.raises(ConfigError) as err:
             parse_config("cluster:\n  gpus_per_group: 512.5\n")
@@ -303,11 +309,15 @@ def reference_scan(text: str) -> dict[str, tuple[str, int]]:
     if not isinstance(root, yaml.MappingNode):
         raise ConfigError("config must be a mapping of sections")
     out: dict[str, tuple[str, int]] = {}
+    seen = set()  # safe_load keeps only the last of a repeated section; both readers refuse it
     for section_node, body_node in root.value:
         section = str(section_node.value)
         line = section_node.start_mark.line + 1
         if section not in _SECTIONS:
             raise ConfigError(f"unknown section {section!r} (line {line})")
+        if section in seen:
+            raise ConfigError(f"duplicate section {section!r} (line {line})")
+        seen.add(section)
         if isinstance(body_node, yaml.ScalarNode) and body_node.value == "":
             continue
         if not isinstance(body_node, yaml.MappingNode):
