@@ -89,21 +89,31 @@ class ResilienceConfig:
 
 
 @dataclass(frozen=True)
-class RunBreakdown:
-    """One training run: its derived quantities, where the wall-clock goes, its price.
+class RunPolicy:
+    """How a run is played: work, checkpoints, failures, groups, tolerance and repairs.
 
-    The derived quantities (MTTI, effective MTTI, checkpoint write time
-    delta, checkpoint interval tau, group count and parallel efficiency)
-    are set on NoProgress runs too. The price is in GPU dollars; the cloud
-    price is dollar_cost(gpu_hours, rates)[1].
+    The event simulator reads nothing else; RunBreakdown adds the paper's results.
     """
 
     solve_h: float
-    mtti_h: float
-    mtti_eff_h: float
-    delta_h: float
     tau_h: float
+    delta_h: float
+    mtti_h: float
     groups: int
+    tolerated_group_failures: int
+    ttr_h: float
+
+
+@dataclass(frozen=True)
+class RunBreakdown(RunPolicy):
+    """A run policy and the paper's results for it: where the wall-clock goes, its price.
+
+    The policy, effective MTTI and parallel efficiency are set on NoProgress
+    runs too. The price is in GPU dollars; the cloud price is
+    dollar_cost(gpu_hours, rates)[1].
+    """
+
+    mtti_eff_h: float
     efficiency: float
     ckpt_overhead_h: float
     expected_rework_h: float
@@ -213,23 +223,6 @@ def checkpoint_count(solve_h: float, tau_h: float) -> int:
     return max(0, math.ceil(solve_h / tau_h) - 1)
 
 
-def solve_hours(
-    model: ModelSpec,
-    constants: ScalingConstants,
-    cluster: ClusterSpec,
-    resilience: ResilienceConfig,
-) -> float:
-    """Failure-free, checkpoint-free hours of work for one training run."""
-    flops = moe_training_flops(model, constants)
-    eta = parallel_efficiency(group_count(cluster, resilience), resilience.seq_fraction)
-    return flops / (
-        cluster.n_gpus
-        * cluster.rates.sustained_flops_per_gpu
-        * eta
-        * HOURS_TO_SECONDS
-    )
-
-
 def runtime_from_solve(
     solve_h: float, cluster: ClusterSpec, resilience: ResilienceConfig
 ) -> RunBreakdown:
@@ -274,6 +267,8 @@ def runtime_from_solve(
         delta_h=delta,
         tau_h=tau,
         groups=groups,
+        tolerated_group_failures=resilience.tolerated_group_failures,
+        ttr_h=resilience.ttr_h,
         efficiency=parallel_efficiency(groups, resilience.seq_fraction),
         ckpt_overhead_h=ckpt_overhead,
         expected_rework_h=rework,
@@ -292,9 +287,11 @@ def expected_runtime(
     resilience: ResilienceConfig,
 ) -> RunBreakdown:
     """Expected time and cost to train one model on a failing cluster."""
-    return runtime_from_solve(
-        solve_hours(model, constants, cluster, resilience), cluster, resilience
-    )
+    # The work target: failure-free, checkpoint-free hours of compute.
+    flops = moe_training_flops(model, constants)
+    eta = parallel_efficiency(group_count(cluster, resilience), resilience.seq_fraction)
+    speed = cluster.n_gpus * cluster.rates.sustained_flops_per_gpu * eta * HOURS_TO_SECONDS
+    return runtime_from_solve(flops / speed, cluster, resilience)
 
 
 def sweep_cells(

@@ -2,11 +2,11 @@
 
 This is the independent oracle for the closed forms in cluster_model.
 SimConfig.run holds the closed form's RunBreakdown for the config's inputs,
-derived once when the config is built. The event loop reads its work
-target, checkpoint interval and write time, interrupt rate and group count
-(and the tolerance and repair time from the ResilienceConfig), plays out
-explicit failures, repairs, rollbacks and restarts, and ensemble means are
-compared against the same breakdown's expectation.
+derived once when the config is built. The event loop reads only its
+RunPolicy: work target, checkpoint interval and write time, interrupt rate,
+group count, tolerance and repair time. It plays out explicit failures,
+repairs, rollbacks and restarts, and ensemble means are compared against
+the same breakdown's expectation.
 
 Event semantics
 ---------------
@@ -59,7 +59,9 @@ from collections import deque
 from collections.abc import Iterator
 from dataclasses import astuple, dataclass, field
 
-from .cluster_model import ClusterSpec, ResilienceConfig, RunBreakdown, expected_runtime
+from .cluster_model import (
+    ClusterSpec, ResilienceConfig, RunBreakdown, RunPolicy, expected_runtime,
+)
 from .scaling_laws import ModelSpec, ScalingConstants
 from .tables import CsvTable
 
@@ -157,11 +159,7 @@ def _replication_gaps(seed: int, replication_index: int) -> Iterator[float]:
 
 
 def _run_events(
-    run: RunBreakdown,
-    resilience: ResilienceConfig,
-    gaps: Iterator[float],
-    max_wall_h: float,
-    trace: list | None = None,
+    run: RunPolicy, gaps: Iterator[float], max_wall_h: float, trace: list | None = None
 ) -> tuple[float, EventCounts]:
     """Run one replication; returns (wall_h, counts), wall_h=inf if censored.
 
@@ -180,7 +178,7 @@ def _run_events(
     write in flight.
     """
     work, tau, delta, mtti, groups = run.solve_h, run.tau_h, run.delta_h, run.mtti_h, run.groups
-    tolerated, ttr = resilience.tolerated_group_failures, resilience.ttr_h
+    tolerated, ttr = run.tolerated_group_failures, run.ttr_h
     inf = math.inf
     draw = gaps.__next__
 
@@ -318,7 +316,7 @@ def simulate_run(
     if not 0 <= replication_index < 2**64:
         raise ValueError("replication_index must be a 64-bit unsigned integer")
     gaps = _replication_gaps(config.seed, replication_index)
-    return _run_events(config.run, config.resilience, gaps, MAX_WALL_H, trace)
+    return _run_events(config.run, gaps, MAX_WALL_H, trace)
 
 
 def trace_table(trace: list[tuple]) -> CsvTable:

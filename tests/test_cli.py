@@ -22,7 +22,7 @@ from traincost.cli import (
     parse_range_spec,
     parse_years_spec,
 )
-from traincost.cluster_model import expected_runtime, solve_hours
+from traincost.cluster_model import expected_runtime
 from traincost.config import _FIELDS, ConfigFile, parse_config, serialize
 from traincost.scaling_laws import ModelSpec
 from traincost.tables import format_cell
@@ -128,12 +128,12 @@ class TestSweep:
         assert code == 0
         header, rows = parse_csv(out)
         config = parse_config(cfg.read_text())
-        solve = solve_hours(
+        solve = expected_runtime(
             ModelSpec(config.growth.base_params, config.scenario.base_experts),
             config.scaling,
             replace(config.cluster, n_gpus=50_000),
             config.resilience,
-        )
+        ).solve_h
         baseline = [r for r in rows if r[header.index("config")] == "baseline"][0]
         assert float(baseline[header.index("wall_h")]) == solve
 

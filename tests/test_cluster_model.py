@@ -20,7 +20,6 @@ from traincost.cluster_model import (
     optimized_variant,
     parallel_efficiency,
     runtime_from_solve,
-    solve_hours,
     sweep_system_size,
     system_mtti,
 )
@@ -304,14 +303,14 @@ class TestSweep:
         assert got == direct
 
 
-def test_solve_hours_matches_manual_chain():
+def test_work_target_matches_manual_chain():
     eta = parallel_efficiency(group_count(CLUSTER_50K, BASELINE), BASELINE.seq_fraction)
     from traincost.scaling_laws import moe_training_flops
 
     manual = moe_training_flops(MODEL, CONSTANTS) / (
         50_000 * CLUSTER_50K.rates.sustained_flops_per_gpu * eta * 3600.0
     )
-    assert solve_hours(MODEL, CONSTANTS, CLUSTER_50K, BASELINE) == manual
+    assert expected_runtime(MODEL, CONSTANTS, CLUSTER_50K, BASELINE).solve_h == manual
 
 
 @pytest.mark.parametrize(

@@ -19,11 +19,10 @@ from traincost.cli import DEFAULT_SIM_GPUS, main
 from traincost.cluster_model import (
     ClusterSpec,
     ResilienceConfig,
-    RunBreakdown,
+    RunPolicy,
     expected_runtime,
     group_count,
     parallel_efficiency,
-    solve_hours,
 )
 from traincost.config import ConfigFile
 from traincost.failure_sim import (
@@ -311,8 +310,7 @@ class CountingGaps:
 # added: one event per pass, kept verbatim as the reference the current
 # loop must match exactly.
 def reference_run_events(
-    run: RunBreakdown,
-    resilience: ResilienceConfig,
+    run: RunPolicy,
     gaps: Iterator[float],
     max_wall_h: float,
     trace: list | None = None,
@@ -324,7 +322,7 @@ def reference_run_events(
     the MTTI is infinite.
     """
     work, tau, delta, mtti, groups = run.solve_h, run.tau_h, run.delta_h, run.mtti_h, run.groups
-    tolerated, ttr = resilience.tolerated_group_failures, resilience.ttr_h
+    tolerated, ttr = run.tolerated_group_failures, run.ttr_h
 
     emit = trace.append if trace is not None else None
     t = 0.0
@@ -406,10 +404,9 @@ def reference_run_events(
 
 def loop_case(groups, tolerated, mtti_h, ttr_h, max_wall_h, solve_h=200.0, tau_h=9.0,
               delta_h=1.5, seed=0, index=0):
-    run = replace(reference_config().run, solve_h=solve_h, tau_h=tau_h, delta_h=delta_h,
-                  mtti_h=mtti_h, groups=groups)
-    resilience = ResilienceConfig(tolerated_group_failures=tolerated, ttr_h=ttr_h)
-    return run, resilience, max_wall_h, (seed, index)
+    run = RunPolicy(solve_h=solve_h, tau_h=tau_h, delta_h=delta_h, mtti_h=mtti_h, groups=groups,
+                    tolerated_group_failures=tolerated, ttr_h=ttr_h)
+    return run, max_wall_h, (seed, index)
 
 
 @st.composite
@@ -439,42 +436,42 @@ def fails_mid_write(trace):
 
 
 # F=0 cases, which the every-group-up loop of _run_events plays to the end,
-# each with a check that it shows what its name says: check(run, resilience,
-# max_wall_h, (wall, counts), draws, trace).
+# each with a check that it shows what its name says: check(run, max_wall_h,
+# (wall, counts), draws, trace).
 F0_CASES = {
     "mtti_far_below_tau": (
         loop_case(10, 0, 2.0, 1.0, 1e5, solve_h=30.0, tau_h=12.0, delta_h=0.5),
-        lambda run, res, horizon, out, draws, trace:
+        lambda run, horizon, out, draws, trace:
             run.mtti_h * 5 < run.tau_h and out[0] < horizon and out[1].failures > 1000,
     ),
     "failures_mid_write": (
         loop_case(8, 0, 3.0, 1.0, 5000.0, delta_h=4.0),
-        lambda run, res, horizon, out, draws, trace:
+        lambda run, horizon, out, draws, trace:
             run.delta_h >= run.mtti_h and fails_mid_write(trace),
     ),
     "zero_ttr": (
         loop_case(10, 0, 5.0, 0.0, 5000.0),
-        lambda run, res, horizon, out, draws, trace:
-            res.ttr_h == 0 and out[0] < horizon and out[1].failures > 0,
+        lambda run, horizon, out, draws, trace:
+            run.ttr_h == 0 and out[0] < horizon and out[1].failures > 0,
     ),
     "infinite_mtti": (
         loop_case(10, 0, math.inf, 2.0, 5000.0),
-        lambda run, res, horizon, out, draws, trace:
+        lambda run, horizon, out, draws, trace:
             draws == 0 and out[0] < horizon and out[1].checkpoints > 0,
     ),
     "censored_at_work_end": (
         loop_case(10, 0, math.inf, 2.0, 19.0),
-        lambda run, res, horizon, out, draws, trace:
+        lambda run, horizon, out, draws, trace:
             out[0] == math.inf and first_kind_past(trace, horizon) == EVENT_CKPT_START,
     ),
     "censored_at_write_end": (
         loop_case(10, 0, math.inf, 2.0, 20.0),
-        lambda run, res, horizon, out, draws, trace:
+        lambda run, horizon, out, draws, trace:
             out[0] == math.inf and first_kind_past(trace, horizon) == EVENT_CKPT_END,
     ),
     "censored_at_failure": (
         loop_case(10, 0, 20.0, 2.0, 30.0, seed=3),
-        lambda run, res, horizon, out, draws, trace:
+        lambda run, horizon, out, draws, trace:
             out[0] == math.inf and first_kind_past(trace, horizon) == EVENT_FAIL,
     ),
 }
@@ -508,28 +505,28 @@ def last_repair_mid_write(trace):
 RIDE_OUT_CASES = {
     "during_work": (
         loop_case(20, 5, 4.0, 1.0, 5000.0),
-        lambda run, res, horizon, out, draws, trace:
+        lambda run, horizon, out, draws, trace:
             out[0] < horizon and rides_out(trace, during_write=False),
     ),
     "during_a_write": (
         loop_case(8, 2, 3.0, 1.0, 5000.0, delta_h=4.0),
-        lambda run, res, horizon, out, draws, trace:
+        lambda run, horizon, out, draws, trace:
             out[0] < horizon and rides_out(trace, during_write=True),
     ),
     "last_repair_mid_write": (
         loop_case(8, 2, 3.0, 1.0, 5000.0, delta_h=4.0),
-        lambda run, res, horizon, out, draws, trace:
+        lambda run, horizon, out, draws, trace:
             out[0] < horizon and last_repair_mid_write(trace),
     ),
     "every_group_down": (
         loop_case(3, 6, 8.0, 20.0, 5000.0),
-        lambda run, res, horizon, out, draws, trace:
+        lambda run, horizon, out, draws, trace:
             out[0] < horizon and any(after == run.groups for _, _, after in trace),
     ),
 }
 
 
-def assert_matches_reference(run, resilience, max_wall_h, gaps):
+def assert_matches_reference(run, max_wall_h, gaps):
     """_run_events matches reference_run_events on the gaps() stream.
 
     Traced and untraced, it returns the same (wall_h, counts) and draws as
@@ -537,24 +534,23 @@ def assert_matches_reference(run, resilience, max_wall_h, gaps):
     and draw count.
     """
     reference, reference_trace = CountingGaps(gaps()), []
-    want = reference_run_events(run, resilience, reference, max_wall_h, reference_trace)
+    want = reference_run_events(run, reference, max_wall_h, reference_trace)
     traced, untraced, trace = CountingGaps(gaps()), CountingGaps(gaps()), []
-    assert _run_events(run, resilience, traced, max_wall_h, trace) == want
+    assert _run_events(run, traced, max_wall_h, trace) == want
     assert trace == reference_trace
-    assert _run_events(run, resilience, untraced, max_wall_h) == want
+    assert _run_events(run, untraced, max_wall_h) == want
     assert traced.drawn == untraced.drawn == reference.drawn
     return want, reference.drawn
 
 
 def assert_named_case(case, shows):
-    run, resilience, max_wall_h, key = case
-    want, drawn = assert_matches_reference(
-        run, resilience, max_wall_h, lambda: _replication_gaps(*key))
+    run, max_wall_h, key = case
+    want, drawn = assert_matches_reference(run, max_wall_h, lambda: _replication_gaps(*key))
     # The case shows what its name says, in the trace of the same
     # replication with a horizon far away.
     trace = []
-    reference_run_events(run, resilience, _replication_gaps(*key), 1e9, trace)
-    assert shows(run, resilience, max_wall_h, want, drawn, trace)
+    reference_run_events(run, _replication_gaps(*key), 1e9, trace)
+    assert shows(run, max_wall_h, want, drawn, trace)
 
 
 class TestEventLoopMatchesReference:
@@ -566,8 +562,8 @@ class TestEventLoopMatchesReference:
     @example(loop_case(10, 0, 1.0, 2.0, 30.0))  # censored at a small horizon
     @example(loop_case(10, 2, math.inf, 2.0, 5000.0))  # no failures, no draws
     def test_same_wall_counts_trace_and_draws(self, case):
-        run, resilience, max_wall_h, key = case
-        assert_matches_reference(run, resilience, max_wall_h, lambda: _replication_gaps(*key))
+        run, max_wall_h, key = case
+        assert_matches_reference(run, max_wall_h, lambda: _replication_gaps(*key))
 
     @pytest.mark.parametrize("name", F0_CASES)
     def test_f0_fast_path_matches_reference(self, name):
@@ -585,9 +581,9 @@ class TestEventLoopMatchesReference:
         (23.0, (23.0, EventCounts(0, 0, 2, 0))),  # done, not failed
     ], ids=["at_a_write_end", "at_the_end_of_work"])
     def test_f0_ties_go_to_work_and_writes(self, first_gap, want):
-        run, resilience, max_wall_h, _ = loop_case(1, 0, 1.0, 2.0, 5000.0, solve_h=20.0)
+        run, max_wall_h, _ = loop_case(1, 0, 1.0, 2.0, 5000.0, solve_h=20.0)
         gaps = [first_gap, 100.0, 100.0]
-        got, _ = assert_matches_reference(run, resilience, max_wall_h, lambda: iter(gaps))
+        got, _ = assert_matches_reference(run, max_wall_h, lambda: iter(gaps))
         assert got == want
 
     # F=1 with 2 groups, so one group down halves the rate and a second
@@ -606,8 +602,8 @@ class TestEventLoopMatchesReference:
         (2.0, [8.0, 100.0], (24.0, EventCounts(1, 1, 2, 0))),
     ], ids=["at_a_repair", "at_a_write_end_with_a_group_down", "at_a_work_end_with_a_repair"])
     def test_f1_ties_go_to_repairs_then_work_and_writes(self, ttr_h, gaps, want):
-        run, resilience, max_wall_h, _ = loop_case(2, 1, 1.0, ttr_h, 5000.0, solve_h=20.0)
-        got, _ = assert_matches_reference(run, resilience, max_wall_h, lambda: iter(gaps))
+        run, max_wall_h, _ = loop_case(2, 1, 1.0, ttr_h, 5000.0, solve_h=20.0)
+        got, _ = assert_matches_reference(run, max_wall_h, lambda: iter(gaps))
         assert got == want
 
     @pytest.mark.parametrize("tolerated", [0, 5], ids=["F0", "F5"])
@@ -682,15 +678,16 @@ class TestGapStream:
         # F=5 and a 24 h repair: with 3 groups every group is down at times,
         # and with 8 groups six down at once interrupt the run. (With an
         # infinite MTTI no gap is drawn: test_checkpoint_accounting_exact.)
-        run = replace(reference_config().run, solve_h=500.0, mtti_h=8.0, groups=groups)
-        resilience = replace(OPT_RESILIENCE, ttr_h=24.0)
+        # tau and delta are those of the 50k-GPU reference run.
+        run = RunPolicy(solve_h=500.0, tau_h=8.538247985217714, delta_h=2.2222222222222223,
+                        mtti_h=8.0, groups=groups, tolerated_group_failures=5, ttr_h=24.0)
         gaps = CountingGaps(_replication_gaps(0, 0))
         trace = []
-        wall, counts = _run_events(run, resilience, gaps, 1e7, trace)
+        wall, counts = _run_events(run, gaps, 1e7, trace)
         assert math.isfinite(wall)
         assert gaps.drawn == counts.failures + 1
-        replay_groups_down(trace, groups, resilience)
-        if groups <= resilience.tolerated_group_failures:
+        replay_groups_down(trace, groups, run)
+        if groups <= run.tolerated_group_failures:
             # Some FAIL found every group already down: the count stays at G.
             before = [0] + [g for _, _, g in trace]
             assert any(k == EVENT_FAIL and g == b == groups
@@ -704,7 +701,7 @@ class TestFailureFree:
         cluster = replace(CLUSTER_50K, gpu_mtbf_h=math.inf, cpu_mtbf_h=math.inf)
         config = reference_config(cluster=cluster, replications=1)
         wall, counts = simulate_run(config, 0)
-        solve = solve_hours(config.model, CONSTANTS, cluster, BASELINE)
+        solve = expected_runtime(config.model, CONSTANTS, cluster, BASELINE).solve_h
         assert wall == solve
         assert counts.interrupts == 0
         assert counts.failures == 0
@@ -712,11 +709,9 @@ class TestFailureFree:
     def test_checkpoint_accounting_exact(self):
         # Explicit interval smaller than the work target: wall is exactly
         # W + n_ckpt * delta with n_ckpt = ceil(W/tau) - 1.
-        run = replace(
-            reference_config(replications=1).run,
-            solve_h=100.0, tau_h=9.0, delta_h=0.5, mtti_h=math.inf, groups=10,
-        )
-        wall, counts = _run_events(run, BASELINE, iter(()), 1e9)  # no gap is drawn
+        run = RunPolicy(solve_h=100.0, tau_h=9.0, delta_h=0.5, mtti_h=math.inf, groups=10,
+                        tolerated_group_failures=0, ttr_h=2.0)
+        wall, counts = _run_events(run, iter(()), 1e9)  # no gap is drawn
         assert wall == 100.0 + 11 * 0.5
         assert counts.checkpoints == 11
 
@@ -741,10 +736,10 @@ class TestExactF0Expectation:
         full = math.ceil(work / tau) - 1
         segments = [tau + delta] * full + [work - full * tau]
         exact = math.fsum((mtti + ttr) * math.expm1(t / mtti) for t in segments)
-        run, resilience, horizon, _ = loop_case(
+        run, horizon, _ = loop_case(
             1, 0, mtti, ttr, failure_sim.MAX_WALL_H, solve_h=work, tau_h=tau, delta_h=delta)
         n = 4000
-        walls = [_run_events(run, resilience, _replication_gaps(7, i), horizon)[0]
+        walls = [_run_events(run, _replication_gaps(7, i), horizon)[0]
                  for i in range(n)]
         z = (statistics.fmean(walls) - exact) / (statistics.stdev(walls) / math.sqrt(n))
         assert abs(z) <= 3, z
@@ -915,10 +910,27 @@ class TestValidation:
         config = reference_config()
         run = config.run
         assert run == expected_runtime(config.model, CONSTANTS, CLUSTER_50K, BASELINE)
-        assert run.solve_h == solve_hours(config.model, CONSTANTS, CLUSTER_50K, BASELINE)
+        assert run.solve_h == expected_runtime(config.model, CONSTANTS, CLUSTER_50K, BASELINE).solve_h
         assert run.groups == 97
         assert config.resilience.tolerated_group_failures == 0
         assert math.isclose(run.tau_h, 8.538, rel_tol=1e-3)
+        # The policy the event loop plays carries the resilience's F and ttr.
+        for resilience in (BASELINE, OPT_RESILIENCE):
+            run = reference_config(resilience=resilience).run
+            assert run.tolerated_group_failures == resilience.tolerated_group_failures
+            assert run.ttr_h == resilience.ttr_h
+
+    def test_simulate_run_plays_only_the_policy(self):
+        # At F=5 a bare RunPolicy with config.run's seven fields plays the
+        # same replications: the loop reads nothing else of the config.
+        config = reference_config(cluster=OPT_CLUSTER, resilience=OPT_RESILIENCE)
+        run = config.run
+        assert run.tolerated_group_failures == 5
+        policy = RunPolicy(run.solve_h, run.tau_h, run.delta_h, run.mtti_h, run.groups,
+                           run.tolerated_group_failures, run.ttr_h)
+        for i in range(5):
+            want = _run_events(policy, _replication_gaps(config.seed, i), failure_sim.MAX_WALL_H)
+            assert simulate_run(config, i) == want
 
     def test_run_is_derived_not_passed(self):
         with pytest.raises(TypeError):
