@@ -71,6 +71,8 @@ class TestRangeSpecs:
     def test_bad_years(self):
         with pytest.raises(CliError):
             parse_years_spec("2030:2020")
+        with pytest.raises(CliError, match=r"^years spec must use integers, got '2023:abc'$"):
+            parse_years_spec("2023:abc")
 
     def test_point_cap(self):
         assert len(parse_range_spec(f"1:{10**9}:{MAX_RANGE_POINTS}:linear")) == MAX_RANGE_POINTS
@@ -587,6 +589,17 @@ class TestSvg:
         run_cli(capsys, *args, "--out", str(b_path))
         assert (tmp_path / "a.svg").read_text() == (tmp_path / "b.svg").read_text()
 
+    @pytest.mark.parametrize("series, log_x", [
+        ([], False),
+        ([("a", [(1.0, math.inf), (math.nan, 2.0), (3.0, 0.0)])], False),
+        ([("a", [(0.0, 1.0)])], True),
+    ], ids=["no_series", "non_finite_or_non_positive_y", "x_zero_on_a_log_axis"])
+    def test_line_chart_needs_a_finite_point(self, series, log_x):
+        from traincost.svgplot import line_chart
+
+        with pytest.raises(ValueError, match=r"^no finite points to plot$"):
+            line_chart(series, "title", "x", "y", log_x=log_x)
+
     def test_svg_requires_out(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--gpus", "1024", "--svg")
         assert code == 1
@@ -697,6 +710,15 @@ def test_missing_results_are_non_finite_numbers():
     assert format_cell(math.nan) == ""
     with pytest.raises(TypeError):
         format_cell(None)
+
+
+@pytest.mark.parametrize("cell, error, message", [
+    ("a,b", ValueError, r"^unsupported characters in CSV cell: 'a,b'$"),
+    (True, TypeError, r"^boolean cells are not part of any table contract$"),
+], ids=["comma", "bool"])
+def test_cells_outside_the_contract_are_rejected(cell, error, message):
+    with pytest.raises(error, match=message):
+        format_cell(cell)
 
 
 def test_csv_numbers_round_trip(capsys):

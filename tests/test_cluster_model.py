@@ -288,6 +288,14 @@ class TestSweep:
         )
         assert all(b.status == STATUS_NO_PROGRESS for _, _, b in rows)
 
+    @pytest.mark.parametrize("variants, grid, message", [
+        ([SweepVariant("baseline", BASELINE)], [], "n_gpus_list must be non-empty"),
+        ([], [1024], "variants must be non-empty"),
+    ], ids=["empty_grid", "no_variants"])
+    def test_rejects_empty_grid_or_variants(self, variants, grid, message):
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            sweep_system_size(MODEL, CONSTANTS, CLUSTER_50K, variants, grid)
+
     def test_rejects_unsorted_grid(self):
         with pytest.raises(ValueError):
             sweep_system_size(
@@ -350,3 +358,16 @@ def test_invalid_cluster_rejected(kwargs):
 def test_invalid_resilience_rejected(kwargs):
     with pytest.raises(ValueError):
         ResilienceConfig(**kwargs)
+
+
+@pytest.mark.parametrize("function, args, message", [
+    (parallel_efficiency, (0, 0.01), r"groups must be >= 1"),
+    (parallel_efficiency, (10, 1.0), r"seq_fraction must lie in \[0, 1\)"),
+    (effective_mtti, (16.4, -1), r"tolerated_failures must be >= 0"),
+    (optimal_checkpoint_interval, (-1.0, 16.4, 1000.0), r"delta_h must be >= 0"),
+    (optimal_checkpoint_interval, (2.0, 0.0, 1000.0), r"m_eff_h must be > 0"),
+    (optimal_checkpoint_interval, (2.0, 16.4, 0.0), r"solve_h must be > 0"),
+], ids=["groups", "seq_fraction", "tolerated_failures", "delta_h", "m_eff_h", "solve_h"])
+def test_invalid_arguments_rejected(function, args, message):
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        function(*args)

@@ -896,6 +896,11 @@ class TestValidation:
         assert verdict.simulated_mean_h == wall
         assert verdict.analytic_h == config.run.wall_h
 
+    @pytest.mark.parametrize("index", [-1, 2**64], ids=["negative", "past_64_bits"])
+    def test_rejects_replication_index_outside_64_bits(self, index):
+        with pytest.raises(ValueError, match=r"^replication_index must be a 64-bit unsigned integer$"):
+            simulate_run(reference_config(replications=1), index)
+
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):
             SimConfig(model=reference_model(), cluster=CLUSTER_50K, replications=0)
