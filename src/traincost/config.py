@@ -32,7 +32,7 @@ from .projection import SCENARIOS, GrowthModel, MarketModel, Scenario
 from .scaling_laws import ScalingConstants
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Malformed or invalid configuration input."""
 
 

@@ -1,12 +1,12 @@
 """Discrete-event Monte Carlo simulation of a checkpointed training run.
 
 This is the independent oracle for the closed forms in cluster_model.
-SimConfig.run holds the closed form's RunBreakdown for the config's inputs,
-derived once when the config is built. The event loop reads only its
-RunPolicy: work target, checkpoint interval and write time, interrupt rate,
-group count, tolerance and repair time. It plays out explicit failures,
-repairs, rollbacks and restarts, and ensemble means are compared against
-the same breakdown's expectation.
+SimConfig.run is the closed form's RunBreakdown for the config's inputs. The
+event loop reads only its RunPolicy: work target, checkpoint interval and
+write time, interrupt rate, group count, tolerance and repair time. It plays
+out explicit failures, repairs, rollbacks and restarts. analytic_verdict
+compares a simulated mean with an expectation its caller passes; simulate
+and validate_analytic pass the breakdown's closed-form wall_h.
 
 Event semantics
 ---------------
@@ -99,7 +99,7 @@ class SimConfig:
     seed: int = 0
     replications: int = 100
     # The closed form's quantities for the inputs above, read by the event
-    # loop and the verdict alike; derived here so that they cannot disagree.
+    # loop and by the verdict's callers; derived here so that they cannot disagree.
     run: RunBreakdown = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -137,8 +137,6 @@ class SimResult:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    analytic_h: float
-    simulated_mean_h: float
     relative_error: float
     passed: bool
 
@@ -437,26 +435,24 @@ def summarize(outcomes: list[tuple[float, EventCounts]]) -> SimResult:
     )
 
 
-def analytic_verdict(
-    config: SimConfig, result: SimResult, tolerance: float
-) -> ValidationReport:
-    """Judge a summarized ensemble against the closed form's expectation.
+def analytic_verdict(expected_h: float, mean_h: float, tolerance: float) -> ValidationReport:
+    """Judge a simulated mean against the expectation its caller passes.
 
-    An analytic wall-clock within the horizon MAX_WALL_H passes when the
-    simulated mean is within tolerance of it, relative to the analytic value.
-    Past the horizon (NoProgress included) there is no relative error (nan);
-    the verdict passes only if the simulated mean also exceeds the horizon,
-    that is, only if some replication was censored.
+    An expectation within the horizon MAX_WALL_H passes when the mean is
+    within tolerance of it, relative to the expectation. Past the horizon
+    (NoProgress included) there is no relative error (nan); the verdict
+    passes only if the mean also exceeds the horizon, that is, only if some
+    replication was censored.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be > 0")
-    run, mean = config.run, result.mean_wall_h
-    if not run.wall_h <= MAX_WALL_H:
-        return ValidationReport(run.wall_h, mean, math.nan, mean > MAX_WALL_H)
-    rel = abs(run.wall_h - mean) / run.wall_h
-    return ValidationReport(run.wall_h, mean, rel, rel <= tolerance)
+    if not expected_h <= MAX_WALL_H:
+        return ValidationReport(math.nan, mean_h > MAX_WALL_H)
+    rel = abs(expected_h - mean_h) / expected_h
+    return ValidationReport(rel, rel <= tolerance)
 
 
 def validate_analytic(config: SimConfig, tolerance: float) -> ValidationReport:
-    """analytic_verdict on the replications, every one run in this process."""
-    return analytic_verdict(config, summarize(collect_replications(config)), tolerance)
+    """analytic_verdict of the closed form on the replications, all run in this process."""
+    mean = summarize(collect_replications(config)).mean_wall_h
+    return analytic_verdict(config.run.wall_h, mean, tolerance)

@@ -389,9 +389,15 @@ class TestSimulate:
         assert len(rows) == 3
         assert failure_sim.GENERATOR_NAME in err
 
-    def test_range_rejected(self, capsys):
-        code, _, err = run_cli(capsys, "simulate", "--gpus", "1024:2048:2:geometric")
+    # A range spec is rejected even where it parses to one point.
+    @pytest.mark.parametrize("spec", [
+        "1024:2048:2:geometric", "50000:90000:1:geometric", "100000:100000:2:linear",
+    ], ids=["two_points", "count_one", "deduplicated"])
+    def test_range_rejected(self, capsys, spec):
+        code, out, err = run_cli(capsys, "simulate", "--gpus", spec)
         assert code == 1
+        assert out == ""
+        assert err == "error: simulate takes a single --gpus count\n"
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_rejected(self, capsys, workers):
@@ -476,7 +482,7 @@ class TestSimulateVerdict:
         monkeypatch.setattr(failure_sim, "collect_replications", censored)
         _, report = cmd_simulate(ConfigFile(), n_gpus, 0, 3)
         verdict = failure_sim.analytic_verdict(
-            seen[0], failure_sim.summarize(outcomes), VALIDATION_TOLERANCE
+            seen[0].run.wall_h, failure_sim.summarize(outcomes).mean_wall_h, VALIDATION_TOLERANCE
         )
         word = "within" if verdict.passed else "OUTSIDE"
         assert f"relative error: {verdict.relative_error:.4g} ({word} " in report

@@ -750,13 +750,13 @@ class TestOracleAgreement:
         config = reference_config()
         report = validate_analytic(config, tolerance=0.20)
         assert report.passed, report
-        assert math.isclose(report.analytic_h, 2039.48, rel_tol=1e-3)
+        assert math.isclose(config.run.wall_h, 2039.48, rel_tol=1e-3)
 
     def test_optimized_reference_within_20_percent(self):
         config = reference_config(cluster=OPT_CLUSTER, resilience=OPT_RESILIENCE)
         report = validate_analytic(config, tolerance=0.20)
         assert report.passed, report
-        assert math.isclose(report.analytic_h, 1101.25, rel_tol=1e-3)
+        assert math.isclose(config.run.wall_h, 1101.25, rel_tol=1e-3)
 
     def test_tiny_tolerance_fails_on_stochastic_config(self):
         report = validate_analytic(reference_config(replications=50), tolerance=1e-9)
@@ -780,7 +780,7 @@ class TestOracleAgreement:
         assert not analytic.ok
         report = validate_analytic(config, tolerance=0.20)
         assert report.passed
-        assert report.simulated_mean_h == math.inf
+        assert summarize(collect_replications(config)).mean_wall_h == math.inf
 
 
 class TestStochasticProperties:
@@ -878,23 +878,26 @@ class TestValidation:
 
     # The reference closed form at 50,000 GPUs is 2,039 h: within the 1e7 h
     # horizon, and past a 1,000 h one, where it is judged like NoProgress.
+    # With no GPU count the expectation is 1,000 h, which no RunBreakdown gave.
     @pytest.mark.parametrize("n_gpus, wall, relative_error, passed, horizon", [
         (131_072, 5000.0, "nan", False, 1e7),  # NoProgress, but the run finished
         (131_072, math.inf, "nan", True, 1e7),  # NoProgress and censored
         (50_000, math.inf, "inf", False, 1e7),  # finite closed form, censored run
         (50_000, math.inf, "nan", True, 1_000.0),  # past the horizon and censored
         (50_000, 900.0, "nan", False, 1_000.0),  # past the horizon, but the run finished
+        (None, 1100.0, "0.1", True, 1e7),  # a given expectation, within tolerance
     ], ids=["131072-5000.0-nan-False", "131072-inf-nan-True", "50000-inf-inf-False",
-            "past_horizon-censored", "past_horizon-finished"])
+            "past_horizon-censored", "past_horizon-finished", "given_expectation"])
     def test_verdict_rules(self, monkeypatch, n_gpus, wall, relative_error, passed, horizon):
         monkeypatch.setattr(failure_sim, "MAX_WALL_H", horizon)
-        config = reference_config(cluster=ClusterSpec(n_gpus=n_gpus), replications=2)
-        result = summarize([(wall, EventCounts())] * 2)
-        verdict = analytic_verdict(config, result, tolerance=0.20)
+        if n_gpus is None:
+            expected_h = 1_000.0
+        else:
+            config = reference_config(cluster=ClusterSpec(n_gpus=n_gpus), replications=2)
+            expected_h = config.run.wall_h
+        verdict = analytic_verdict(expected_h, wall, tolerance=0.20)
         assert verdict.passed is passed
         assert f"{verdict.relative_error:.4g}" == relative_error
-        assert verdict.simulated_mean_h == wall
-        assert verdict.analytic_h == config.run.wall_h
 
     @pytest.mark.parametrize("index", [-1, 2**64], ids=["negative", "past_64_bits"])
     def test_rejects_replication_index_outside_64_bits(self, index):
