@@ -218,11 +218,6 @@ def optimal_checkpoint_interval(delta_h: float, m_eff_h: float, solve_h: float) 
     return min(math.sqrt(2.0 * delta_h * m_eff_h), solve_h)
 
 
-def checkpoint_count(solve_h: float, tau_h: float) -> int:
-    """Interior checkpoints written during solve_h of work at interval tau_h."""
-    return max(0, math.ceil(solve_h / tau_h) - 1)
-
-
 def runtime_from_solve(
     solve_h: float, cluster: ClusterSpec, resilience: ResilienceConfig
 ) -> RunBreakdown:
@@ -238,11 +233,12 @@ def runtime_from_solve(
     tau = optimal_checkpoint_interval(delta, m_eff, solve_h)
     if not tau > 0:
         raise ValueError("checkpoint interval underflows to zero")
-    ckpt_overhead = checkpoint_count(solve_h, tau) * delta
+    ckpt_overhead = (math.ceil(solve_h / tau) - 1) * delta  # tau <= solve_h: never < 0
 
-    # Expected loss per interrupt (half a segment of rework plus recovery)
-    # as a fraction of the effective MTTI.
-    availability = 1.0 - (tau / 2.0 + resilience.ttr_h) / m_eff
+    # Expected loss per interrupt: half a segment of rework plus recovery. It is
+    # zero only where tau / 2 underflows and ttr_h is 0; then nothing is lost.
+    loss_per_interrupt = tau / 2.0 + resilience.ttr_h
+    availability = 1.0 - loss_per_interrupt / m_eff
     status = STATUS_OK
     if availability <= 0.0:
         wall = rework = restart = math.inf
@@ -251,11 +247,7 @@ def runtime_from_solve(
         base = solve_h + ckpt_overhead
         wall = base / availability
         inflation = wall - base
-        loss_per_interrupt = tau / 2.0 + resilience.ttr_h
-        if inflation > 0.0 and loss_per_interrupt > 0.0:
-            rework = inflation * (tau / 2.0) / loss_per_interrupt
-        else:
-            rework = 0.0
+        rework = inflation * (tau / 2.0) / loss_per_interrupt if loss_per_interrupt else 0.0
         restart = inflation - rework
 
     gpu_hours = wall * cluster.n_gpus
@@ -315,9 +307,8 @@ def sweep_cells(
 
     for n_gpus in n_gpus_list:
         for variant in variants:
-            cluster = replace(cluster_template, n_gpus=n_gpus)
-            if variant.fs_bw_gbs is not None:
-                cluster = replace(cluster, fs_bw_gbs=variant.fs_bw_gbs)
+            bandwidth = {} if variant.fs_bw_gbs is None else {"fs_bw_gbs": variant.fs_bw_gbs}
+            cluster = replace(cluster_template, n_gpus=n_gpus, **bandwidth)
             yield n_gpus, variant.name, expected_runtime(
                 model, constants, cluster, variant.resilience
             )

@@ -37,8 +37,10 @@ reference_run_events, which this one must match bit for bit in (wall_h,
 counts), trace and the number of gaps drawn.
 
 SimConfig refuses a run that could need more than MAX_CHECKPOINTS
-checkpoint writes in one replication. The number of failures before the
-horizon is not bounded yet.
+checkpoint writes in one replication, and a checkpoint interval too small
+to advance the clock at the horizon MAX_WALL_H: there a work stretch would
+take no simulated time. The number of failures before the horizon is not
+bounded yet.
 
 Randomness is keyed per replication: replication r of a run seeded s
 reads its failure gaps from a Mersenne Twister (MT19937; Matsumoto and
@@ -113,6 +115,11 @@ class SimConfig:
             raise ValueError(
                 f"checkpoint interval {run.tau_h:.3g} h needs up to {writes:.3g} "
                 f"checkpoint writes per replication, more than {MAX_CHECKPOINTS}"
+            )
+        if not MAX_WALL_H + run.tau_h > MAX_WALL_H:
+            raise ValueError(
+                f"checkpoint interval {run.tau_h:.3g} h is below the resolution of "
+                f"simulated time at the {MAX_WALL_H:.3g} h horizon"
             )
         object.__setattr__(self, "run", run)
 

@@ -443,6 +443,14 @@ class TestSimulate:
         bound = failure_sim.MAX_CHECKPOINTS
         assert done.stderr.endswith(f" writes per replication, more than {bound}\n")
 
+    # At 2e17 GPUs tau_h is 8.96e-10 h, which the clock cannot add at the 1e7 h
+    # horizon; the request is refused before any replication runs.
+    def test_checkpoint_interval_below_clock_resolution_is_config_error(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--gpus", "200000000000000000", "--reps", "1")
+        assert (code, out) == (1, "")
+        assert err == ("error: checkpoint interval 8.96e-10 h is below the resolution of "
+                       "simulated time at the 1e+07 h horizon\n")
+
     def test_a_million_checkpoint_writes_still_run(self, capsys):
         # One GPU: tau_h is ~7.2 h, so ~1.4e6 writes fit under the horizon.
         code, out, _ = run_cli(capsys, "simulate", "--gpus", "1", "--reps", "1")

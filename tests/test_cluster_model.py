@@ -174,6 +174,13 @@ class TestRuntimeFromSolve:
         assert got.expected_rework_h == 0.0
         assert got.expected_restart_h == 0.0
 
+    def test_zero_loss_per_interrupt_splits_nothing(self):
+        # tau = solve_h = 5e-324 h: tau / 2 underflows to 0, so with ttr_h = 0 an
+        # interrupt loses nothing and the rework share must not divide by it.
+        got = runtime_from_solve(5e-324, CLUSTER_50K, replace(BASELINE, ttr_h=0.0))
+        assert (got.tau_h, got.wall_h, got.status) == (5e-324, 5e-324, STATUS_OK)
+        assert (got.expected_rework_h, got.expected_restart_h) == (0.0, 0.0)
+
     def test_no_progress_regime(self):
         # Interrupts every few hours with multi-hour recovery: no net progress.
         cluster = replace(CLUSTER_50K, gpu_mtbf_h=10.0, cpu_mtbf_h=10.0)

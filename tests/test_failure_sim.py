@@ -914,6 +914,21 @@ class TestValidation:
         with pytest.raises(ValueError, match="checkpoint write time is not finite"):
             SimConfig(model=reference_model(), cluster=replace(CLUSTER_50K, gpu_mem_gb=1e308))
 
+    # tau_h = solve_h: 8.96e-10 h at 2e17 GPUs and 1.79e-10 h at 1e18, both below
+    # half an ulp of the 1e7 h horizon (9.31e-10 h). Past 2**23 h (2**21 h) then
+    # t + tau == t, and a replication would finish a NoProgress run in no time.
+    # At 1e17 GPUs tau_h is 1.79e-09 h: the clock still advances, and the run is accepted.
+    @pytest.mark.parametrize("n_gpus, tau", [(2 * 10**17, "8.96e-10"), (10**18, "1.79e-10")])
+    def test_rejects_checkpoint_interval_below_clock_resolution(self, n_gpus, tau):
+        message = (f"^checkpoint interval {tau} h is below the resolution of simulated "
+                   r"time at the 1e\+07 h horizon$")
+        with pytest.raises(ValueError, match=message):
+            SimConfig(model=ModelSpec(1.8e12, 8), cluster=ClusterSpec(n_gpus), replications=1)
+
+    def test_accepts_checkpoint_interval_the_clock_resolves(self):
+        config = SimConfig(model=ModelSpec(1.8e12, 8), cluster=ClusterSpec(10**17), replications=1)
+        assert failure_sim.MAX_WALL_H + config.run.tau_h > failure_sim.MAX_WALL_H
+
     def test_derive_parameters_match_cluster_model(self):
         config = reference_config()
         run = config.run
