@@ -5,7 +5,7 @@ report bundle) goes to stdout or --out; human-readable summaries go to
 stderr; output bytes are a pure function of the config bytes and flags.
 
 Exit codes: 0 success, 1 configuration error, 2 when every sweep cell is
-in the NoProgress regime, 3 on I/O failure.
+in the NoProgress regime, 3 on I/O failure or a failed simulation worker.
 """
 
 from __future__ import annotations

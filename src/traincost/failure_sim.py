@@ -368,9 +368,10 @@ def collect_replications(
     not exist. Share k holds replications k, k + w, k + 2w, ...; a forked
     child runs each share k >= 1 (_run_share) while this process runs share
     0, so one worker forks nothing. Every child is reaped before this
-    returns or raises, and a child that failed raises RuntimeError naming
-    it. Output is independent of w because every replication's random
-    stream is keyed by its own index.
+    returns or raises, and a child that failed raises ChildProcessError (an
+    OSError, so the CLI exits 3) naming it and its exit status. Output is
+    independent of w because every replication's random stream is keyed by
+    its own index.
 
     If share 0 or a fork raises, this process sends SIGTERM to every child,
     reaps them and then lets the exception propagate, at once instead of
@@ -414,7 +415,7 @@ def collect_replications(
         codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
     for k, code in enumerate(codes, 1):
         if code:
-            raise RuntimeError(f"simulation worker {k} exited with status {code}")
+            raise ChildProcessError(f"simulation worker {k} exited with status {code}")
     for payload in payloads:
         shares.append([(wall, EventCounts(*counts)) for wall, *counts in marshal.loads(payload)])
     return [shares[i % w][i // w] for i in range(n)]

@@ -9,12 +9,17 @@ import traincost
 
 
 def _python(args: list[str], timeout: float) -> subprocess.CompletedProcess:
-    """Runs a new interpreter that imports this traincost, capturing its output."""
+    """Runs a new interpreter that imports this traincost, capturing its output.
+
+    -S loads no site-packages and -W error makes every warning an exception,
+    so what runs in it needs only the standard library and warns of nothing.
+    """
     src = str(Path(traincost.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout
+        [sys.executable, "-S", "-W", "error", *args],
+        env=env, capture_output=True, text=True, timeout=timeout,
     )
 
 
@@ -22,6 +27,7 @@ def _python(args: list[str], timeout: float) -> subprocess.CompletedProcess:
 def fresh_python():
     """Runs code in a new interpreter that imports this traincost; returns its stdout.
 
+    The interpreter loads no site-packages and makes every warning an error.
     For checks on sys.modules that the test process's own imports would mask.
     """
 
@@ -37,6 +43,7 @@ def fresh_python():
 def cli_process():
     """Runs the CLI in a new process that is killed after timeout seconds.
 
+    The interpreter loads no site-packages and makes every warning an error.
     For requests that must end in bounded time: a hang fails the test
     (subprocess.TimeoutExpired) instead of stalling the suite.
     """

@@ -2,6 +2,8 @@ import contextlib
 import hashlib
 import io
 import math
+import os
+import signal
 import sys
 import textwrap
 from dataclasses import replace
@@ -370,11 +372,30 @@ class TestSimulate:
         _, second, _ = run_cli(capsys, "simulate", "--gpus", "50000", "--seed", "9", "--reps", "5")
         assert first == second
 
-    def test_worker_count_invisible_in_output(self, capsys):
-        args = ["simulate", "--gpus", "50000", "--seed", "9", "--reps", "6"]
-        _, serial, _ = run_cli(capsys, *args, "--workers", "1")
-        _, parallel, _ = run_cli(capsys, *args, "--workers", "2")
-        assert serial == parallel
+    # At F=5 failures are ridden out with groups down. Two CPUs, so that
+    # --workers 2 forks a child on any host.
+    def test_worker_count_invisible_in_output(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(failure_sim, "_available_cpus", lambda: 2)
+        config = tmp_path / "config.yaml"
+        for config_text in ("", "resilience: {ft_f: 5, ttr_h: 8}\n"):
+            config.write_text(config_text)
+            args = ["simulate", "--gpus", "50000", "--seed", "9", "--reps", "6",
+                    "--config", str(config)]
+            _, serial, _ = run_cli(capsys, *args, "--workers", "1")
+            _, parallel, _ = run_cli(capsys, *args, "--workers", "2")
+            assert serial == parallel, config_text
+
+    # A worker that exits with an error, or that the system kills (say, for
+    # memory), is an i/o error: exit 3 with one line on stderr, no traceback.
+    @pytest.mark.parametrize("end, status", [
+        (lambda: os._exit(3), 3), (lambda: os.kill(os.getpid(), signal.SIGKILL), -9),
+    ], ids=["exit_status", "killed"])
+    def test_failed_worker_is_io_error(self, capsys, monkeypatch, end, status):
+        monkeypatch.setattr(failure_sim, "_available_cpus", lambda: 2)
+        monkeypatch.setattr(failure_sim, "_run_share", lambda *args: end())
+        code, out, err = run_cli(capsys, "simulate", "--reps", "4", "--workers", "2")
+        assert (code, out) == (3, "")
+        assert err == f"i/o error: simulation worker 1 exited with status {status}\n"
 
     def test_seed_changes_output(self, capsys):
         _, a, _ = run_cli(capsys, "simulate", "--seed", "1", "--reps", "3")
@@ -556,10 +577,15 @@ class TestOutputsAndExitCodes:
 
     def test_bad_config_file_is_config_error(self, capsys, tmp_path):
         cfg = tmp_path / "bad.yaml"
-        cfg.write_text("cluster:\n  gpu_mtbf_h: -5\n")
-        code, _, err = run_cli(capsys, "cost", "1e12", "--config", str(cfg))
-        assert code == 1
-        assert "gpu_mtbf_h" in err
+        for config_text, message in [
+            ("cluster:\n  gpu_mtbf_h: -5\n", "gpu_mtbf_h"),
+            ("cluster:\n  gpu_mtbf_h: 1000\nscaling:\n  flop_per_token: 6\n"
+             "cluster:\n  gpu_mem_gb: 40\n", "duplicate section 'cluster' (line 5)"),
+        ]:
+            cfg.write_text(config_text)
+            code, out, err = run_cli(capsys, "cost", "1e12", "--config", str(cfg))
+            assert (code, out) == (1, "")
+            assert message in err
 
     # argparse alone would exit 2; the module docstring promises 1.
     @pytest.mark.parametrize("args", [

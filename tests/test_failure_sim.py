@@ -139,7 +139,7 @@ class TestWorkerBound:
 
         monkeypatch.setattr(failure_sim, "simulate_run", failing_at_3)
         monkeypatch.setattr(failure_sim, "_available_cpus", lambda: 2)
-        with pytest.raises(RuntimeError, match="simulation worker 1 exited with status 1"):
+        with pytest.raises(ChildProcessError, match="simulation worker 1 exited with status 1"):
             collect_replications(reference_config(replications=4), 2)
         with pytest.raises(ChildProcessError):  # no child is left to reap
             os.waitpid(-1, os.WNOHANG)
@@ -200,7 +200,7 @@ class TestWorkerBound:
         before = sorted(os.listdir("/proc/self/fd"))
         assert len(collect_replications(config, 3)) == 6
         monkeypatch.setattr(failure_sim, "simulate_run", failing_at(4))
-        with pytest.raises(RuntimeError, match="simulation worker 1 exited with status 1"):
+        with pytest.raises(ChildProcessError, match="simulation worker 1 exited with status 1"):
             collect_replications(config, 3)
         monkeypatch.setattr(failure_sim, "simulate_run", failing_at(3))
         with pytest.raises(ArithmeticError, match="replication 3"):
