@@ -12,6 +12,7 @@ key mapped onto the wrong field changes a hash.
 """
 
 import hashlib
+from collections import Counter
 from dataclasses import fields, replace
 
 import pytest
@@ -143,6 +144,21 @@ NO_RESULT_PINS = [
 ]
 
 
+# The largest sweep of the benchmark's plan workload, with its set-up
+# config: 2,000 sizes whose rows are OK and NoProgress for both strategies.
+# Pinned as (stdout sha256, stderr sha256, exit code).
+PLAN_SWEEP_CONFIG = (
+    "cluster: {fs_bw_gbs: 1000.0, gpus_per_group: 512}\n"
+    "resilience: {ft_f: 2, ttr_h: 4.0, ckpt_mem_fraction: 0.75}\n"
+)
+PLAN_SWEEP_ARGS = ["sweep", "--gpus", "1024:1048576:2000:geometric"]
+PLAN_SWEEP_PIN = (
+    "25b9f43b1154312051b6f3e6840f6a6a5502298906666b34f292075896e7aabc",
+    "4843e84ef6923b7ce0c55063f938db8f07b58b7755b26ff5400cf4b039d30d2c",
+    0,
+)
+
+
 def stdout_sha256(capsys, args):
     assert main(args) == 0
     return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
@@ -181,6 +197,19 @@ def test_chart_pinned(tmp_path, config_text, args, digest):
     assert main(args + ["--out", str(tmp_path / "data.csv"), "--svg"]) == 0
     svg = (tmp_path / "data.svg").read_bytes()
     assert hashlib.sha256(svg).hexdigest() == digest
+
+
+def test_plan_sweep_pinned(capsys, tmp_path):
+    config = tmp_path / "plan.yaml"
+    config.write_text(PLAN_SWEEP_CONFIG)
+    code = main(PLAN_SWEEP_ARGS + ["--config", str(config)])
+    captured = capsys.readouterr()
+    cells = [row.split(",") for row in captured.out.splitlines()[1:]]
+    assert Counter((row[1], row[-1]) for row in cells) == {("baseline", "OK"): 1627, ("baseline", "NoProgress"): 373,
+                        ("optimized", "OK"): 1857, ("optimized", "NoProgress"): 143}
+    assert (hashlib.sha256(captured.out.encode("utf-8")).hexdigest(),
+            hashlib.sha256(captured.err.encode("utf-8")).hexdigest(),
+            code) == PLAN_SWEEP_PIN
 
 
 def test_every_key_config_sets_every_key():
