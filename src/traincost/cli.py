@@ -15,12 +15,13 @@ import math
 import os
 import sys
 from collections.abc import Iterable
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
+from operator import itemgetter
 
 # failure_sim and svgplot are imported by the functions that use them, so
 # a request loads neither unless it simulates or draws a chart.
 from . import cluster_model, projection
-from .cluster_model import SweepVariant
+from .cluster_model import STATUS_OK, RunBreakdown, SweepVariant
 from .config import ConfigFile, load_config
 from .projection import SCENARIOS, Scenario
 from .scaling_laws import (
@@ -48,6 +49,12 @@ SWEEP_COLUMNS = (
     "n_gpus", "config", "params", "experts", "flops", "mtti_h", "mtti_eff_h",
     "ckpt_h", "tau_h", "efficiency", "wall_h", "gpu_hours", "gpu_cost_usd", "status",
 )
+# The RunBreakdown fields behind SWEEP_COLUMNS[5:], picked from a sweep cell's numbers.
+_sweep_cells = itemgetter(*map(
+    [f.name for f in fields(RunBreakdown)].index,
+    ("mtti_h", "mtti_eff_h", "delta_h", "tau_h", "efficiency",
+     "wall_h", "gpu_hours", "gpu_dollars", "status"),
+))
 PROJECT_COLUMNS = (
     "scenario", "year", "params", "experts", "flops", "gpu_hours",
     "gpu_cost_usd", "cloud_cost_usd", "gpu_base_usd", "it_spend_usd",
@@ -200,19 +207,18 @@ def cmd_sweep(config: ConfigFile, gpus_list: list[int]) -> tuple[CsvTable, str, 
     stalled: dict[str, int] = {}
 
     def rows():
-        for n_gpus, name, run in cluster_model.sweep_cells(
+        for n_gpus, name, numbers in cluster_model.sweep_numbers(
             model, config.scaling, config.cluster, variants, gpus_list
         ):
-            if run.ok:
-                _require_finite(run.wall_h, run.gpu_hours, run.gpu_dollars)
-                points[name].append((n_gpus, run.wall_h))
+            mtti, m_eff, delta, tau, eta, wall_h, gpu_hours, gpu_dollars, status = (
+                _sweep_cells(numbers))
+            if status == STATUS_OK:
+                _require_finite(wall_h, gpu_hours, gpu_dollars)
+                points[name].append((n_gpus, wall_h))
             else:
                 stalled.setdefault(name, n_gpus)
-            yield (
-                n_gpus, name, params, experts, flops,
-                run.mtti_h, run.mtti_eff_h, run.delta_h, run.tau_h, run.efficiency,
-                run.wall_h, run.gpu_hours, run.gpu_dollars, run.status,
-            )
+            yield (n_gpus, name, params, experts, flops, mtti, m_eff, delta, tau, eta,
+                   wall_h, gpu_hours, gpu_dollars, status)
 
     table = CsvTable(SWEEP_COLUMNS, rows())
     lines = []

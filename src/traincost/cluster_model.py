@@ -18,13 +18,18 @@ The expected wall-clock is a first-order waste formula
 which degenerates gracefully to the failure-free time, and signals a
 NoProgress regime when the expected loss per interrupt reaches the
 effective mean time to interrupt.
+
+One pass of the closed form computes a run's numbers, in RunBreakdown's
+field order; every RunBreakdown is built from such a pass. A sweep streams
+the numbers themselves (sweep_numbers), so a caller that only formats them
+builds no record per cell.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .scaling_laws import (
     HOURS_TO_SECONDS,
@@ -38,6 +43,11 @@ from .scaling_laws import (
 
 STATUS_OK = "OK"
 STATUS_NO_PROGRESS = "NoProgress"
+
+
+def _require_count(name: str, value) -> None:
+    if not (value >= 1 and _fits_float(value)):
+        raise ValueError(f"{name} must be >= 1 and fit a float")
 
 
 @dataclass(frozen=True)
@@ -55,9 +65,7 @@ class ClusterSpec:
 
     def __post_init__(self):
         for name in ("n_gpus", "gpus_per_cpu", "gpus_per_group"):
-            value = getattr(self, name)
-            if not (value >= 1 and _fits_float(value)):
-                raise ValueError(f"{name} must be >= 1 and fit a float")
+            _require_count(name, getattr(self, name))
         for name in ("gpu_mtbf_h", "cpu_mtbf_h", "gpu_mem_gb", "fs_bw_gbs"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
@@ -218,13 +226,20 @@ def optimal_checkpoint_interval(delta_h: float, m_eff_h: float, solve_h: float) 
     return min(math.sqrt(2.0 * delta_h * m_eff_h), solve_h)
 
 
-def runtime_from_solve(
-    solve_h: float, cluster: ClusterSpec, resilience: ResilienceConfig
-) -> RunBreakdown:
-    """Expected wall-clock breakdown for a run of solve_h ideal hours."""
+def _closed_form(
+    solve_h: float,
+    cluster: ClusterSpec,
+    resilience: ResilienceConfig,
+    groups: int,
+    efficiency: float,
+) -> tuple:
+    """One pass of the closed form: a run's numbers in RunBreakdown's field order.
+
+    groups and efficiency are the cluster's group_count and its
+    parallel_efficiency, which the caller has already computed.
+    """
     if not 0 < solve_h < math.inf:
         raise ValueError("work target solve_h must be finite and > 0")
-    groups = group_count(cluster, resilience)
     mtti = system_mtti(cluster)
     m_eff = effective_mtti(mtti, resilience.tolerated_group_failures)
     delta = checkpoint_write_time(cluster, resilience)
@@ -252,24 +267,20 @@ def runtime_from_solve(
 
     gpu_hours = wall * cluster.n_gpus
     gpu_dollars, _ = dollar_cost(gpu_hours, cluster.rates)
-    return RunBreakdown(
-        solve_h=solve_h,
-        mtti_h=mtti,
-        mtti_eff_h=m_eff,
-        delta_h=delta,
-        tau_h=tau,
-        groups=groups,
-        tolerated_group_failures=resilience.tolerated_group_failures,
-        ttr_h=resilience.ttr_h,
-        efficiency=parallel_efficiency(groups, resilience.seq_fraction),
-        ckpt_overhead_h=ckpt_overhead,
-        expected_rework_h=rework,
-        expected_restart_h=restart,
-        wall_h=wall,
-        gpu_hours=gpu_hours,
-        gpu_dollars=gpu_dollars,
-        status=status,
+    return (
+        solve_h, tau, delta, mtti, groups, resilience.tolerated_group_failures,
+        resilience.ttr_h, m_eff, efficiency, ckpt_overhead, rework, restart, wall,
+        gpu_hours, gpu_dollars, status,
     )
+
+
+def runtime_from_solve(
+    solve_h: float, cluster: ClusterSpec, resilience: ResilienceConfig
+) -> RunBreakdown:
+    """Expected wall-clock breakdown for a run of solve_h ideal hours."""
+    groups = group_count(cluster, resilience)
+    efficiency = parallel_efficiency(groups, resilience.seq_fraction)
+    return RunBreakdown(*_closed_form(solve_h, cluster, resilience, groups, efficiency))
 
 
 def expected_runtime(
@@ -279,11 +290,56 @@ def expected_runtime(
     resilience: ResilienceConfig,
 ) -> RunBreakdown:
     """Expected time and cost to train one model on a failing cluster."""
+    return RunBreakdown(*_training_numbers(moe_training_flops(model, constants), cluster,
+                                           resilience))
+
+
+def _training_numbers(flops, cluster: ClusterSpec, resilience: ResilienceConfig) -> tuple:
+    """The closed form's numbers for training flops of work on cluster."""
+    groups = group_count(cluster, resilience)
+    efficiency = parallel_efficiency(groups, resilience.seq_fraction)
     # The work target: failure-free, checkpoint-free hours of compute.
+    speed = cluster.n_gpus * cluster.rates.sustained_flops_per_gpu * efficiency * HOURS_TO_SECONDS
+    return _closed_form(flops / speed, cluster, resilience, groups, efficiency)
+
+
+def sweep_numbers(
+    model: ModelSpec,
+    constants: ScalingConstants,
+    cluster_template: ClusterSpec,
+    variants: list[SweepVariant],
+    n_gpus_list: list[int],
+) -> Iterator[tuple[int, str, tuple]]:
+    """Yield every (system size, strategy, numbers) cell of a time-to-train sweep in grid order.
+
+    A cell's numbers are its RunBreakdown's fields in order, so
+    RunBreakdown(*numbers) equals expected_runtime at that size with the
+    strategy's bandwidth. The grid, every size in it and the variants are
+    checked before the first cell is computed. NoProgress cells are
+    yielded as data, not raised.
+    """
+    if not n_gpus_list:
+        raise ValueError("n_gpus_list must be non-empty")
+    if any(b <= a for a, b in zip(n_gpus_list, n_gpus_list[1:])):
+        raise ValueError("n_gpus_list must be strictly ascending")
+    if not variants:
+        raise ValueError("variants must be non-empty")
+    for n_gpus in n_gpus_list:
+        _require_count("n_gpus", n_gpus)
+
     flops = moe_training_flops(model, constants)
-    eta = parallel_efficiency(group_count(cluster, resilience), resilience.seq_fraction)
-    speed = cluster.n_gpus * cluster.rates.sustained_flops_per_gpu * eta * HOURS_TO_SECONDS
-    return runtime_from_solve(flops / speed, cluster, resilience)
+    # Per strategy, the cluster's fields after n_gpus, its bandwidth applied.
+    strategies = []
+    for variant in variants:
+        template = cluster_template
+        if variant.fs_bw_gbs is not None:
+            template = replace(template, fs_bw_gbs=variant.fs_bw_gbs)
+        rest = tuple(getattr(template, f.name) for f in fields(ClusterSpec)[1:])
+        strategies.append((variant.name, variant.resilience, rest))
+
+    for n_gpus in n_gpus_list:
+        for name, resilience, rest in strategies:
+            yield n_gpus, name, _training_numbers(flops, ClusterSpec(n_gpus, *rest), resilience)
 
 
 def sweep_cells(
@@ -293,25 +349,11 @@ def sweep_cells(
     variants: list[SweepVariant],
     n_gpus_list: list[int],
 ) -> Iterator[tuple[int, str, RunBreakdown]]:
-    """Yield every (system size, strategy) cell of a time-to-train sweep in grid order.
-
-    The grid and the variants are checked before the first cell is
-    computed. NoProgress cells are yielded as data, not raised.
-    """
-    if not n_gpus_list:
-        raise ValueError("n_gpus_list must be non-empty")
-    if any(b <= a for a, b in zip(n_gpus_list, n_gpus_list[1:])):
-        raise ValueError("n_gpus_list must be strictly ascending")
-    if not variants:
-        raise ValueError("variants must be non-empty")
-
-    for n_gpus in n_gpus_list:
-        for variant in variants:
-            bandwidth = {} if variant.fs_bw_gbs is None else {"fs_bw_gbs": variant.fs_bw_gbs}
-            cluster = replace(cluster_template, n_gpus=n_gpus, **bandwidth)
-            yield n_gpus, variant.name, expected_runtime(
-                model, constants, cluster, variant.resilience
-            )
+    """Every cell of sweep_numbers with its numbers as a RunBreakdown."""
+    for n_gpus, name, numbers in sweep_numbers(
+        model, constants, cluster_template, variants, n_gpus_list
+    ):
+        yield n_gpus, name, RunBreakdown(*numbers)
 
 
 def sweep_system_size(

@@ -3,6 +3,7 @@ import hashlib
 import io
 import math
 import os
+import re
 import signal
 import sys
 import textwrap
@@ -20,13 +21,22 @@ from traincost.cli import (
     CliError,
     _narrative,
     cmd_simulate,
+    cmd_sweep,
     main,
     parse_range_spec,
     parse_years_spec,
 )
-from traincost.cluster_model import expected_runtime
+from traincost.cluster_model import (
+    OPTIMIZED_GROUP_FAILURES,
+    ClusterSpec,
+    ResilienceConfig,
+    SweepVariant,
+    expected_runtime,
+    optimized_variant,
+    sweep_cells,
+)
 from traincost.config import _FIELDS, ConfigFile, parse_config, serialize
-from traincost.scaling_laws import ModelSpec
+from traincost.scaling_laws import CostRates, ModelSpec, moe_training_flops
 from traincost.tables import format_cell
 
 
@@ -894,6 +904,74 @@ def test_fuzz_sweep_reading_matches_its_csv(tmp_path_factory, values, start, spa
         expected.append(f"{name}: {'; '.join(reading)}\n")
     assert err.getvalue() == "".join(expected)
     assert code == (0 if any(row[status_col] == "OK" for row in rows) else 2)
+
+
+_MTBF = st.one_of(st.just(math.inf), st.floats(1e-2, 1e9))
+
+
+@st.composite
+def sweep_configs(draw):
+    """A config with random cluster and resilience values, and a third strategy."""
+    cluster = ClusterSpec(
+        n_gpus=1,
+        gpus_per_cpu=draw(st.integers(1, 16)),
+        gpu_mtbf_h=draw(_MTBF),
+        cpu_mtbf_h=draw(_MTBF),
+        gpu_mem_gb=draw(st.floats(1e-3, 1e4)),
+        fs_bw_gbs=draw(st.floats(1.0, 1e5)),
+        gpus_per_group=draw(st.integers(1, 4096)),
+        rates=CostRates(sustained_flops_per_gpu=draw(st.floats(1e12, 1e16))),
+    )
+    tolerated = draw(st.integers(0, 20))
+    resilience = ResilienceConfig(
+        ckpt_mem_fraction=draw(st.floats(0.01, 1.0)),
+        tolerated_group_failures=tolerated,
+        # Above the optimized strategy's tolerance too, which the CLI sweeps.
+        group_count_cap=draw(st.integers(max(tolerated, OPTIMIZED_GROUP_FAILURES) + 1, 200)),
+        ttr_h=draw(st.one_of(st.just(0.0), st.floats(0.0, 100.0))),
+        seq_fraction=draw(st.floats(0.0, 0.5)),
+    )
+    third = SweepVariant("third", replace(resilience, ttr_h=0.0),
+                         draw(st.one_of(st.none(), st.floats(1.0, 1e5))))
+    return ConfigFile(cluster=cluster, resilience=resilience), third
+
+
+@settings(max_examples=150, deadline=None)
+@given(sweep_configs(), st.lists(st.integers(1, 10**9), min_size=1, max_size=12, unique=True))
+def test_fuzz_sweep_cells_equal_expected_runtime_and_csv_rows(drawn, sizes):
+    # Every streamed cell is the record expected_runtime gives at its size with
+    # its strategy's bandwidth, and cmd_sweep's row is that record's fields.
+    config, third = drawn
+    grid = sorted(sizes)
+    res = config.resilience
+    variants = [SweepVariant("baseline", res), optimized_variant(res), third]
+    model = ModelSpec(config.growth.base_params, config.scenario.base_experts)
+    expected = []
+    try:
+        for n_gpus in grid:
+            for variant in variants:
+                cluster = replace(config.cluster, n_gpus=n_gpus)
+                if variant.fs_bw_gbs is not None:
+                    cluster = replace(cluster, fs_bw_gbs=variant.fs_bw_gbs)
+                expected.append((n_gpus, variant.name, expected_runtime(
+                    model, config.scaling, cluster, variant.resilience)))
+    except (ValueError, OverflowError) as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            list(sweep_cells(model, config.scaling, config.cluster, variants, grid))
+        return
+    assert list(sweep_cells(model, config.scaling, config.cluster, variants, grid)) == expected
+
+    flops = moe_training_flops(model, config.scaling)
+    rows = [(n_gpus, name, float(model.params), model.experts, flops, run.mtti_h,
+             run.mtti_eff_h, run.delta_h, run.tau_h, run.efficiency, run.wall_h, run.gpu_hours,
+             run.gpu_dollars, run.status)
+            for n_gpus, name, run in expected if name != "third"]
+    if any(row[-1] == "OK" and not all(map(math.isfinite, row[-4:-1])) for row in rows):
+        with pytest.raises(OverflowError):
+            cmd_sweep(config, grid)
+        return
+    table, _, _ = cmd_sweep(config, grid)
+    assert table.rows == [",".join(map(format_cell, row)) + "\n" for row in rows]
 
 
 def test_planning_requests_skip_simulator_imports(fresh_python, tmp_path):

@@ -20,6 +20,7 @@ from traincost.cluster_model import (
     optimized_variant,
     parallel_efficiency,
     runtime_from_solve,
+    sweep_cells,
     sweep_system_size,
     system_mtti,
 )
@@ -309,6 +310,14 @@ class TestSweep:
                 MODEL, CONSTANTS, CLUSTER_50K,
                 [SweepVariant("baseline", BASELINE)], [2048, 1024],
             )
+
+    @pytest.mark.parametrize("grid", [[1024, math.nan, 4096], [1024, 10**400]],
+                             ids=["nan", "past_float_range"])
+    def test_every_size_checked_before_the_first_cell(self, grid):
+        cells = sweep_cells(MODEL, CONSTANTS, CLUSTER_50K, [SweepVariant("baseline", BASELINE)],
+                            grid)
+        with pytest.raises(ValueError, match=r"^n_gpus must be >= 1 and fit a float$"):
+            next(cells)
 
     def test_variant_bandwidth_override_applies(self):
         variant = optimized_variant(BASELINE)

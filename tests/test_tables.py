@@ -1,3 +1,6 @@
+import math
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -37,6 +40,63 @@ def test_lines_are_the_joined_cells(table):
     csv = CsvTable(header, iter(rows))
     assert csv.rows == [line + "\n" for line in former]
     assert csv.to_csv() == "\n".join([",".join(header), *former]) + "\n"
+
+
+def reference_format_cell(value) -> str:
+    """format_cell as it was before its exact-type fast path."""
+    if isinstance(value, str):
+        if "," in value or "\n" in value or '"' in value:
+            raise ValueError(f"unsupported characters in CSV cell: {value!r}")
+        return value
+    if isinstance(value, bool):
+        raise TypeError("boolean cells are not part of any table contract")
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            return ""
+        return format(value, ".17g")
+    raise TypeError(f"unsupported cell type: {type(value).__name__}")
+
+
+class IntCell(int):
+    def __str__(self):
+        return "int subclass"
+
+
+class FloatCell(float):
+    def __format__(self, spec):
+        return "float subclass"
+
+
+class StrCell(str):
+    pass
+
+
+ANY_CELL = st.one_of(
+    st.floats(),
+    st.floats(allow_subnormal=True, min_value=-1e-307, max_value=1e-307),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf,
+                     math.nan, 2.0**53 + 1, 0.1]),
+    st.integers(),
+    st.sampled_from([-1, 10**400, -(10**400), 10**5000, True, False, None, b"1", 1j]),
+    st.text(max_size=8),
+    st.sampled_from(["a,b", 'say "hi"', "two\nlines", ""]),
+    st.builds(IntCell, st.integers()),
+    st.builds(FloatCell, st.floats()),
+    st.builds(StrCell, st.sampled_from(["plain", "a,b"])),
+)
+
+
+@given(ANY_CELL)
+def test_format_cell_matches_reference(value):
+    try:
+        want = reference_format_cell(value)
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            format_cell(value)
+    else:
+        assert format_cell(value) == want
 
 
 def test_wrong_width_row_from_a_generator():
