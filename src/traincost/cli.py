@@ -50,7 +50,7 @@ SWEEP_COLUMNS = (
     "ckpt_h", "tau_h", "efficiency", "wall_h", "gpu_hours", "gpu_cost_usd", "status",
 )
 # The RunBreakdown fields behind SWEEP_COLUMNS[5:], picked from a sweep cell's numbers.
-_sweep_cells = itemgetter(*map(
+_sweep_row_numbers = itemgetter(*map(
     [f.name for f in fields(RunBreakdown)].index,
     ("mtti_h", "mtti_eff_h", "delta_h", "tau_h", "efficiency",
      "wall_h", "gpu_hours", "gpu_dollars", "status"),
@@ -211,7 +211,7 @@ def cmd_sweep(config: ConfigFile, gpus_list: list[int]) -> tuple[CsvTable, str, 
             model, config.scaling, config.cluster, variants, gpus_list
         ):
             mtti, m_eff, delta, tau, eta, wall_h, gpu_hours, gpu_dollars, status = (
-                _sweep_cells(numbers))
+                _sweep_row_numbers(numbers))
             if status == STATUS_OK:
                 _require_finite(wall_h, gpu_hours, gpu_dollars)
                 points[name].append((n_gpus, wall_h))

@@ -274,6 +274,15 @@ def _closed_form(
     )
 
 
+def _training_numbers(flops, cluster: ClusterSpec, resilience: ResilienceConfig) -> tuple:
+    """The closed form's numbers for training flops of work on cluster."""
+    groups = group_count(cluster, resilience)
+    efficiency = parallel_efficiency(groups, resilience.seq_fraction)
+    # The work target: failure-free, checkpoint-free hours of compute.
+    speed = cluster.n_gpus * cluster.rates.sustained_flops_per_gpu * efficiency * HOURS_TO_SECONDS
+    return _closed_form(flops / speed, cluster, resilience, groups, efficiency)
+
+
 def runtime_from_solve(
     solve_h: float, cluster: ClusterSpec, resilience: ResilienceConfig
 ) -> RunBreakdown:
@@ -292,15 +301,6 @@ def expected_runtime(
     """Expected time and cost to train one model on a failing cluster."""
     return RunBreakdown(*_training_numbers(moe_training_flops(model, constants), cluster,
                                            resilience))
-
-
-def _training_numbers(flops, cluster: ClusterSpec, resilience: ResilienceConfig) -> tuple:
-    """The closed form's numbers for training flops of work on cluster."""
-    groups = group_count(cluster, resilience)
-    efficiency = parallel_efficiency(groups, resilience.seq_fraction)
-    # The work target: failure-free, checkpoint-free hours of compute.
-    speed = cluster.n_gpus * cluster.rates.sustained_flops_per_gpu * efficiency * HOURS_TO_SECONDS
-    return _closed_form(flops / speed, cluster, resilience, groups, efficiency)
 
 
 def sweep_numbers(
