@@ -205,8 +205,10 @@ def test_plan_sweep_pinned(capsys, tmp_path):
     code = main(PLAN_SWEEP_ARGS + ["--config", str(config)])
     captured = capsys.readouterr()
     cells = [row.split(",") for row in captured.out.splitlines()[1:]]
-    assert Counter((row[1], row[-1]) for row in cells) == {("baseline", "OK"): 1627, ("baseline", "NoProgress"): 373,
-                        ("optimized", "OK"): 1857, ("optimized", "NoProgress"): 143}
+    assert Counter((row[1], row[-1]) for row in cells) == {
+        ("baseline", "OK"): 1627, ("baseline", "NoProgress"): 373,
+        ("optimized", "OK"): 1857, ("optimized", "NoProgress"): 143,
+    }
     assert (hashlib.sha256(captured.out.encode("utf-8")).hexdigest(),
             hashlib.sha256(captured.err.encode("utf-8")).hexdigest(),
             code) == PLAN_SWEEP_PIN
