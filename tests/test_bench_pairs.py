@@ -62,3 +62,29 @@ def test_one_pair_has_no_spread():
     assert summary["metrics"]["req_tail_s"]["base"] == {
         "median": 2.0, "q1": 2.0, "q3": 2.0, "iqr": 0.0}
     assert summary["metrics"]["req_tail_s"]["gain_shown"] is True
+
+
+def run(seed, tail, base="b"):
+    pairs = [{"seed": seed, "base": result(tail, 1.0), "change": result(tail - 0.5, 1.0)}]
+    return {"seeds": [seed], "commits": {"base": base, "change": "c"},
+            "summary": bench_pairs.summarize(pairs, BETTER), "pairs": pairs}
+
+
+def test_a_report_pools_the_pairs_of_every_run():
+    report = bench_pairs.add_run(None, "plan", 30, run(1, 1.0), BETTER)
+    assert report["summary"]["metrics"]["req_tail_s"]["base"]["median"] == 1.0
+    report = bench_pairs.add_run(report, "plan", 30, run(2, 3.0), BETTER)
+    assert [each["seeds"] for each in report["runs"]] == [[1], [2]]
+    assert report["summary"]["pairs"] == 2
+    assert report["summary"]["metrics"]["req_tail_s"]["base"]["median"] == 2.0
+    assert report["runs"][1]["summary"]["metrics"]["req_tail_s"]["base"]["median"] == 3.0
+
+
+@pytest.mark.parametrize("workload, seconds, base", [
+    ("sim_degraded", 30, "b"), ("plan", 20, "b"), ("plan", 30, "other"),
+])
+def test_a_run_of_another_series_is_refused(workload, seconds, base):
+    report = bench_pairs.add_run(None, "plan", 30, run(1, 1.0), BETTER)
+    with pytest.raises(ValueError):
+        bench_pairs.add_run(report, workload, seconds, run(2, 1.0, base=base), BETTER)
+    assert len(report["runs"]) == 1

@@ -5,12 +5,16 @@
 
 Each revision is unpacked from `git archive` into its own directory under
 .bench_work/pairs/, and perfbench/run.py runs there with the same seed on
-both sides, one pair per seed (--seed, --seed + 1, ...). The base runs first in even
-pairs and the change in odd ones. --seconds defaults to BENCHMARK.json's
-run_seconds. The JSON holds every run's result line, each end-to-end
-metric's medians, quartiles and the pairs the change won, the seeds, the
-commit ids, and the Python version, core count and PYTHONDONTWRITEBYTECODE
-setting of the host. Standard library only.
+both sides, one pair per seed (--seed, --seed + 1, ...), for BENCHMARK.json's
+run_seconds. The base runs first in even pairs and the change in odd ones.
+
+The JSON file holds a list of runs of one workload. Each run holds every
+result line of its pairs, each end-to-end metric's medians, quartiles and
+the pairs the change won, the seeds, the commit ids, and the Python
+version, core count and PYTHONDONTWRITEBYTECODE setting of the host. If
+--out already exists, the new run is added to its runs, so that no run of
+a claim is left out of its file, and the file's top-level summary pools
+the pairs of every run. Standard library only.
 """
 
 from __future__ import annotations
@@ -93,6 +97,32 @@ def checkout(revision: str, directory: Path) -> str:
     return commit
 
 
+def check_series(report: dict, workload: str, seconds: float, base: str) -> None:
+    """Raise ValueError unless a run of workload for seconds against base fits the report."""
+    if (report["workload"], report["seconds"]) != (workload, seconds):
+        raise ValueError(f"the report holds {report['workload']} runs of "
+                         f"{report['seconds']} s, not {workload} runs of {seconds} s")
+    if report["runs"] and report["runs"][0]["commits"]["base"] != base:
+        raise ValueError(f"the report's runs measure base {report['runs'][0]['commits']['base']}, "
+                         f"not {base}")
+
+
+def add_run(report: dict | None, workload: str, seconds: float, run: dict,
+            better: dict[str, str]) -> dict:
+    """The report with run added to its runs and its summary pooled over every run.
+
+    report is None for a new file. Every run in one report measures one
+    workload for one run length against one base commit.
+    """
+    if report is None:
+        report = {"workload": workload, "seconds": seconds, "summary": None, "runs": []}
+    check_series(report, workload, seconds, run["commits"]["base"])
+    report["runs"].append(run)
+    report["summary"] = summarize([pair for each in report["runs"] for pair in each["pairs"]],
+                                  better)
+    return report
+
+
 def run_once(directory: Path, workload: str, seed: int, seconds: float) -> dict:
     """perfbench/run.py in a checkout; returns its result line as an object."""
     done = subprocess.run(
@@ -113,8 +143,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, required=True, help="the first pair's seed")
-    parser.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json's)")
-    parser.add_argument("--out", type=Path, required=True, help="the JSON file to write")
+    parser.add_argument("--out", type=Path, required=True,
+                        help="the JSON file to write, or to add this run to")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -122,8 +152,15 @@ def main(argv: list[str] | None = None) -> int:
     dirs = {"base": WORK / "base", "change": WORK / "change"}
     commits = {side: checkout(getattr(args, side), dirs[side]) for side in dirs}
     spec = json.loads((dirs["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+    seconds = spec["run_seconds"]
     better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+    earlier = (json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists()
+               else None)
+    if earlier is not None:
+        try:
+            check_series(earlier, args.workload, seconds, commits["base"])
+        except ValueError as error:
+            parser.error(f"{args.out}: {error}")
 
     pairs = []
     for i in range(args.pairs):
@@ -135,9 +172,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"pair {i + 1}/{args.pairs} (seed {seed}) done", file=sys.stderr)
         pairs.append(pair)
 
-    report = {
-        "workload": args.workload,
-        "seconds": seconds,
+    run = {
         "seeds": [pair["seed"] for pair in pairs],
         "commits": commits,
         "host": {
@@ -148,6 +183,7 @@ def main(argv: list[str] | None = None) -> int:
         "summary": summarize(pairs, better),
         "pairs": pairs,
     }
+    report = add_run(earlier, args.workload, seconds, run, better)
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     shutil.rmtree(WORK)
     return 0
