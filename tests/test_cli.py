@@ -243,6 +243,19 @@ class TestSweep:
         assert (code, out) == (1, "")
         assert err == "error: checkpoint interval underflows to zero\n"
 
+    # The work target flops / speed underflows to 0.0 or overflows to inf.
+    @pytest.mark.parametrize("base_params", ["1e-200", "1e200"], ids=["underflow", "overflow"])
+    @pytest.mark.parametrize("args", [["sweep"], ["simulate", "--reps", "1"]],
+                             ids=["sweep", "simulate"])
+    def test_unrepresentable_work_target_is_config_error(
+        self, capsys, tmp_path, args, base_params
+    ):
+        cfg = tmp_path / "work.yaml"
+        cfg.write_text(f"growth: {{base_params: {base_params}}}\n")
+        code, out, err = run_cli(capsys, *args, "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err == "error: work target solve_h must be finite and > 0\n"
+
     def test_reading_names_stalls_and_fastest_point(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--gpus", "131072:262144:3:geometric")
         assert code == 0
