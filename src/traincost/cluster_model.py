@@ -19,10 +19,11 @@ which degenerates gracefully to the failure-free time, and signals a
 NoProgress regime when the expected loss per interrupt reaches the
 effective mean time to interrupt.
 
-One pass of the closed form computes a run's numbers, in RunBreakdown's
-field order; every RunBreakdown is built from such a pass. A sweep streams
-the numbers themselves (sweep_numbers), so a caller that only formats them
-builds no record per cell.
+One pass of the closed form, _training_numbers, computes a run's numbers
+in RunBreakdown's field order; every RunBreakdown is built from such a
+pass. A sweep streams the numbers themselves (sweep_numbers), so a caller
+that only formats them builds no record per cell; sweep_system_size is the
+same sweep as a list of records.
 """
 
 from __future__ import annotations
@@ -226,18 +227,16 @@ def optimal_checkpoint_interval(delta_h: float, m_eff_h: float, solve_h: float) 
     return min(math.sqrt(2.0 * delta_h * m_eff_h), solve_h)
 
 
-def _closed_form(
-    solve_h: float,
-    cluster: ClusterSpec,
-    resilience: ResilienceConfig,
-    groups: int,
-    efficiency: float,
-) -> tuple:
-    """One pass of the closed form: a run's numbers in RunBreakdown's field order.
+def _training_numbers(flops, cluster: ClusterSpec, resilience: ResilienceConfig) -> tuple:
+    """One pass of the closed form for training flops of work on cluster.
 
-    groups and efficiency are the cluster's group_count and its
-    parallel_efficiency, which the caller has already computed.
+    Returns the run's numbers in RunBreakdown's field order.
     """
+    groups = group_count(cluster, resilience)
+    efficiency = parallel_efficiency(groups, resilience.seq_fraction)
+    # The work target: failure-free, checkpoint-free hours of compute.
+    speed = cluster.n_gpus * cluster.rates.sustained_flops_per_gpu * efficiency * HOURS_TO_SECONDS
+    solve_h = flops / speed
     if not 0 < solve_h < math.inf:
         raise ValueError("work target solve_h must be finite and > 0")
     mtti = system_mtti(cluster)
@@ -272,24 +271,6 @@ def _closed_form(
         resilience.ttr_h, m_eff, efficiency, ckpt_overhead, rework, restart, wall,
         gpu_hours, gpu_dollars, status,
     )
-
-
-def _training_numbers(flops, cluster: ClusterSpec, resilience: ResilienceConfig) -> tuple:
-    """The closed form's numbers for training flops of work on cluster."""
-    groups = group_count(cluster, resilience)
-    efficiency = parallel_efficiency(groups, resilience.seq_fraction)
-    # The work target: failure-free, checkpoint-free hours of compute.
-    speed = cluster.n_gpus * cluster.rates.sustained_flops_per_gpu * efficiency * HOURS_TO_SECONDS
-    return _closed_form(flops / speed, cluster, resilience, groups, efficiency)
-
-
-def runtime_from_solve(
-    solve_h: float, cluster: ClusterSpec, resilience: ResilienceConfig
-) -> RunBreakdown:
-    """Expected wall-clock breakdown for a run of solve_h ideal hours."""
-    groups = group_count(cluster, resilience)
-    efficiency = parallel_efficiency(groups, resilience.seq_fraction)
-    return RunBreakdown(*_closed_form(solve_h, cluster, resilience, groups, efficiency))
 
 
 def expected_runtime(
@@ -342,20 +323,6 @@ def sweep_numbers(
             yield n_gpus, name, _training_numbers(flops, ClusterSpec(n_gpus, *rest), resilience)
 
 
-def sweep_cells(
-    model: ModelSpec,
-    constants: ScalingConstants,
-    cluster_template: ClusterSpec,
-    variants: list[SweepVariant],
-    n_gpus_list: list[int],
-) -> Iterator[tuple[int, str, RunBreakdown]]:
-    """Every cell of sweep_numbers with its numbers as a RunBreakdown."""
-    for n_gpus, name, numbers in sweep_numbers(
-        model, constants, cluster_template, variants, n_gpus_list
-    ):
-        yield n_gpus, name, RunBreakdown(*numbers)
-
-
 def sweep_system_size(
     model: ModelSpec,
     constants: ScalingConstants,
@@ -363,5 +330,10 @@ def sweep_system_size(
     variants: list[SweepVariant],
     n_gpus_list: list[int],
 ) -> list[tuple[int, str, RunBreakdown]]:
-    """Every cell of sweep_cells, as a list."""
-    return list(sweep_cells(model, constants, cluster_template, variants, n_gpus_list))
+    """Every cell of sweep_numbers, with its numbers as a RunBreakdown, as a list."""
+    return [
+        (n_gpus, name, RunBreakdown(*numbers))
+        for n_gpus, name, numbers in sweep_numbers(
+            model, constants, cluster_template, variants, n_gpus_list
+        )
+    ]

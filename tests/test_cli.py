@@ -33,7 +33,7 @@ from traincost.cluster_model import (
     SweepVariant,
     expected_runtime,
     optimized_variant,
-    sweep_cells,
+    sweep_system_size,
 )
 from traincost.config import _FIELDS, ConfigFile, parse_config, serialize
 from traincost.scaling_laws import CostRates, ModelSpec, moe_training_flops
@@ -970,9 +970,9 @@ def test_fuzz_sweep_cells_equal_expected_runtime_and_csv_rows(drawn, sizes):
                     model, config.scaling, cluster, variant.resilience)))
     except (ValueError, OverflowError) as exc:
         with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
-            list(sweep_cells(model, config.scaling, config.cluster, variants, grid))
+            sweep_system_size(model, config.scaling, config.cluster, variants, grid)
         return
-    assert list(sweep_cells(model, config.scaling, config.cluster, variants, grid)) == expected
+    assert sweep_system_size(model, config.scaling, config.cluster, variants, grid) == expected
 
     flops = moe_training_flops(model, config.scaling)
     rows = [(n_gpus, name, float(model.params), model.experts, flops, run.mtti_h,

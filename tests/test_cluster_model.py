@@ -19,12 +19,11 @@ from traincost.cluster_model import (
     optimal_checkpoint_interval,
     optimized_variant,
     parallel_efficiency,
-    runtime_from_solve,
-    sweep_cells,
+    sweep_numbers,
     sweep_system_size,
     system_mtti,
 )
-from traincost.scaling_laws import ModelSpec, ScalingConstants, ideal_gpu_hours
+from traincost.scaling_laws import CostRates, ModelSpec, ScalingConstants, ideal_gpu_hours
 
 mp.dps = 50
 
@@ -146,9 +145,21 @@ def oracle_wall(solve, n, mem, frac, bw, f_tol, ttr):
     return float((solve + n_ckpt * delta) / avail), n_ckpt
 
 
+# Training flops equal the parameter count, so a model can be sized to a work target.
+UNIT_CONSTANTS = ScalingConstants(1.0, 1.0, 1.0)
+
+
+def runtime_from_solve(solve_h, cluster, resilience):
+    """expected_runtime for the model whose work target on cluster is solve_h hours."""
+    efficiency = parallel_efficiency(group_count(cluster, resilience), resilience.seq_fraction)
+    speed = cluster.n_gpus * cluster.rates.sustained_flops_per_gpu * efficiency * 3600.0
+    return expected_runtime(ModelSpec(solve_h * speed), UNIT_CONSTANTS, cluster, resilience)
+
+
 class TestRuntimeFromSolve:
     def test_baseline_reference_config(self):
         got = runtime_from_solve(1000.0, CLUSTER_50K, BASELINE)
+        assert got.solve_h == 1000.0
         expected, n_ckpt = oracle_wall(1000, 50_000, 80, 1, 500, 0, 2)
         assert n_ckpt == 117
         assert math.isclose(got.wall_h, expected, rel_tol=1e-10)
@@ -157,6 +168,7 @@ class TestRuntimeFromSolve:
 
     def test_optimized_reference_config(self):
         got = runtime_from_solve(1000.0, OPT_CLUSTER_50K, OPT_RESILIENCE)
+        assert got.solve_h == 1000.0
         expected, n_ckpt = oracle_wall(1000, 50_000, 80, mpf("0.5"), 2000, 5, 2)
         assert n_ckpt == 135
         assert math.isclose(got.wall_h, expected, rel_tol=1e-10)
@@ -177,8 +189,11 @@ class TestRuntimeFromSolve:
 
     def test_zero_loss_per_interrupt_splits_nothing(self):
         # tau = solve_h = 5e-324 h: tau / 2 underflows to 0, so with ttr_h = 0 an
-        # interrupt loses nothing and the rework share must not divide by it.
-        got = runtime_from_solve(5e-324, CLUSTER_50K, replace(BASELINE, ttr_h=0.0))
+        # interrupt loses nothing and the rework share must not divide by it. One
+        # GPU doing one flop per hour trains a 5e-324-parameter model in 5e-324 h.
+        cluster = ClusterSpec(n_gpus=1, rates=CostRates(sustained_flops_per_gpu=1 / 3600))
+        got = expected_runtime(ModelSpec(5e-324), UNIT_CONSTANTS, cluster,
+                               replace(BASELINE, ttr_h=0.0))
         assert (got.tau_h, got.wall_h, got.status) == (5e-324, 5e-324, STATUS_OK)
         assert (got.expected_rework_h, got.expected_restart_h) == (0.0, 0.0)
 
@@ -314,8 +329,8 @@ class TestSweep:
     @pytest.mark.parametrize("grid", [[1024, math.nan, 4096], [1024, 10**400]],
                              ids=["nan", "past_float_range"])
     def test_every_size_checked_before_the_first_cell(self, grid):
-        cells = sweep_cells(MODEL, CONSTANTS, CLUSTER_50K, [SweepVariant("baseline", BASELINE)],
-                            grid)
+        cells = sweep_numbers(MODEL, CONSTANTS, CLUSTER_50K,
+                              [SweepVariant("baseline", BASELINE)], grid)
         with pytest.raises(ValueError, match=r"^n_gpus must be >= 1 and fit a float$"):
             next(cells)
 
