@@ -228,10 +228,7 @@ def optimal_checkpoint_interval(delta_h: float, m_eff_h: float, solve_h: float) 
 
 
 def _training_numbers(flops, cluster: ClusterSpec, resilience: ResilienceConfig) -> tuple:
-    """One pass of the closed form for training flops of work on cluster.
-
-    Returns the run's numbers in RunBreakdown's field order.
-    """
+    """One pass of the closed form: RunBreakdown's fields for flops of work on cluster."""
     groups = group_count(cluster, resilience)
     efficiency = parallel_efficiency(groups, resilience.seq_fraction)
     # The work target: failure-free, checkpoint-free hours of compute.
@@ -331,9 +328,5 @@ def sweep_system_size(
     n_gpus_list: list[int],
 ) -> list[tuple[int, str, RunBreakdown]]:
     """Every cell of sweep_numbers, with its numbers as a RunBreakdown, as a list."""
-    return [
-        (n_gpus, name, RunBreakdown(*numbers))
-        for n_gpus, name, numbers in sweep_numbers(
-            model, constants, cluster_template, variants, n_gpus_list
-        )
-    ]
+    cells = sweep_numbers(model, constants, cluster_template, variants, n_gpus_list)
+    return [(n_gpus, name, RunBreakdown(*numbers)) for n_gpus, name, numbers in cells]
