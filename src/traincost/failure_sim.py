@@ -59,7 +59,7 @@ import random
 import struct
 from collections import deque
 from collections.abc import Iterator
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 
 from .cluster_model import (
     ClusterSpec, ResilienceConfig, RunBreakdown, RunPolicy, expected_runtime,
@@ -335,28 +335,23 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_share(config: SimConfig, indices: range, write_fd: int) -> None:
-    """In a forked child: marshal the outcomes of indices to write_fd, then exit.
+def _run_share(config: SimConfig, indices: range) -> list[tuple]:
+    """The (wall_h, *EventCounts fields) rows of indices, in whichever process.
 
-    Each outcome is a (wall_h, *EventCounts fields) tuple. os._exit keeps
-    the child out of its parent's code, buffers and atexit handlers; an
-    exception is printed to stderr and exits 1.
+    An exception prints its traceback to fd 2, then raises ChildProcessError
+    (an OSError: the CLI exits 3) naming the share.
     """
-    status = 1
     try:
-        outcomes = []
+        rows = []
         for i in indices:
-            wall, counts = simulate_run(config, i)
-            outcomes.append((wall, *astuple(counts)))
-        with open(write_fd, "wb") as pipe:
-            marshal.dump(outcomes, pipe)
-        status = 0
+            wall, c = simulate_run(config, i)
+            rows.append((wall, c.failures, c.repairs, c.checkpoints, c.interrupts))
+        return rows
     except Exception:
         import traceback
 
         os.write(2, traceback.format_exc().encode())
-    finally:
-        os._exit(status)
+        raise ChildProcessError(f"simulation share {indices.start} failed") from None
 
 
 def collect_replications(
@@ -365,13 +360,13 @@ def collect_replications(
     """All replications in index order, shared among w processes.
 
     w = min(workers, replications, available CPUs), or 1 where os.fork does
-    not exist. Share k holds replications k, k + w, k + 2w, ...; a forked
-    child runs each share k >= 1 (_run_share) while this process runs share
-    0, so one worker forks nothing. Every child is reaped before this
-    returns or raises, and a child that failed raises ChildProcessError (an
-    OSError, so the CLI exits 3) naming it and its exit status. Output is
-    independent of w because every replication's random stream is keyed by
-    its own index.
+    not exist. Share k holds replications k, k + w, k + 2w, ...; _run_share
+    runs share 0 here and each share k >= 1 in a forked child, which pipes
+    its rows back marshalled and leaves by os._exit, clear of this process's
+    buffers and atexit handlers. Every child is reaped before this returns
+    or raises. A failed share raises ChildProcessError naming it, and the
+    child's exit status if that is not 1. Output is independent of w because
+    every replication's random stream is keyed by its own index.
 
     If share 0 or a fork raises, this process sends SIGTERM to every child,
     reaps them and then lets the exception propagate, at once instead of
@@ -390,15 +385,21 @@ def collect_replications(
             try:
                 pid = os.fork()
                 if pid == 0:
-                    # The child holds no read end, so its write fails (EPIPE)
-                    # instead of blocking forever once the parent stops reading.
-                    for fd in pipes:
-                        os.close(fd)
-                    _run_share(config, range(k, n, w), write_fd)
+                    status = 1
+                    try:
+                        # The child holds no read end, so its write fails (EPIPE)
+                        # instead of blocking forever once the parent stops reading.
+                        for fd in pipes:
+                            os.close(fd)
+                        with open(write_fd, "wb") as pipe:
+                            marshal.dump(_run_share(config, range(k, n, w)), pipe)
+                        status = 0
+                    finally:
+                        os._exit(status)
             finally:
                 os.close(write_fd)  # so the pipe reads to its end once the child exits
             pids.append(pid)
-        shares = [[simulate_run(config, i) for i in range(0, n, w)]]
+        shares = [_run_share(config, range(0, n, w))]
         payloads = []
         for read_fd in pipes:
             with open(read_fd, "rb", closefd=False) as pipe:
@@ -415,10 +416,11 @@ def collect_replications(
         codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
     for k, code in enumerate(codes, 1):
         if code:
-            raise ChildProcessError(f"simulation worker {k} exited with status {code}")
-    for payload in payloads:
-        shares.append([(wall, EventCounts(*counts)) for wall, *counts in marshal.loads(payload)])
-    return [shares[i % w][i // w] for i in range(n)]
+            detail = "" if code == 1 else f" (exit status {code})"
+            raise ChildProcessError(f"simulation share {k} failed{detail}")
+    shares += map(marshal.loads, payloads)
+    return [(wall, EventCounts(*counts))
+            for wall, *counts in (shares[i % w][i // w] for i in range(n))]
 
 
 def summarize(outcomes: list[tuple[float, EventCounts]]) -> SimResult:

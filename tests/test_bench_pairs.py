@@ -88,3 +88,23 @@ def test_a_run_of_another_series_is_refused(workload, seconds, base):
     with pytest.raises(ValueError):
         bench_pairs.add_run(report, workload, seconds, run(2, 1.0, base=base), BETTER)
     assert len(report["runs"]) == 1
+
+
+def test_each_side_of_a_pair_keeps_its_host_probe(monkeypatch):
+    ran = []
+
+    def canned(directory, workload, seed, seconds):
+        ran.append(directory)
+        return result(1.0 if directory == "b" else 0.5, 1.0)
+
+    monkeypatch.setattr(bench_pairs, "run_once", canned)
+    pair = bench_pairs.run_pair({"base": "b", "change": "c"}, "plan", 7, 30, base_first=False)
+    assert ran == ["c", "b"]
+    assert (pair["seed"], pair["first"], sorted(pair)) == (
+        7, "change", ["base", "change", "first", "probe", "seed"])
+    for side in ("base", "change"):
+        probe = pair["probe"][side]
+        assert sorted(probe) == ["loop_ms", "pair_ratio"]
+        assert all(type(value) is float and value > 0 for value in probe.values())
+    without = {key: value for key, value in pair.items() if key != "probe"}
+    assert bench_pairs.summarize([pair], BETTER) == bench_pairs.summarize([without], BETTER)

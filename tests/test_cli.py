@@ -408,17 +408,71 @@ class TestSimulate:
             _, parallel, _ = run_cli(capsys, *args, "--workers", "2")
             assert serial == parallel, config_text
 
-    # A worker that exits with an error, or that the system kills (say, for
-    # memory), is an i/o error: exit 3 with one line on stderr, no traceback.
+    # A worker that exits without raising, or that the system kills (say,
+    # for memory), is an i/o error: exit 3 with one line on stderr naming
+    # its exit status, and no traceback. Only the forked child ends; this
+    # process runs share 0 to its end.
     @pytest.mark.parametrize("end, status", [
         (lambda: os._exit(3), 3), (lambda: os.kill(os.getpid(), signal.SIGKILL), -9),
     ], ids=["exit_status", "killed"])
     def test_failed_worker_is_io_error(self, capsys, monkeypatch, end, status):
+        test_pid = os.getpid()
+        real_simulate_run = failure_sim.simulate_run
+
+        def ending_in_the_child(config, index):
+            if os.getpid() != test_pid:
+                end()
+            return real_simulate_run(config, index)
+
         monkeypatch.setattr(failure_sim, "_available_cpus", lambda: 2)
-        monkeypatch.setattr(failure_sim, "_run_share", lambda *args: end())
+        monkeypatch.setattr(failure_sim, "simulate_run", ending_in_the_child)
         code, out, err = run_cli(capsys, "simulate", "--reps", "4", "--workers", "2")
         assert (code, out) == (3, "")
-        assert err == f"i/o error: simulation worker 1 exited with status {status}\n"
+        assert err == f"i/o error: simulation share 1 failed (exit status {status})\n"
+
+    # An exception in any share ends one way, whichever process ran it:
+    # the share's traceback, then exit 3 with one i/o error line naming the
+    # share. Shares at 2 workers are (0, 2) and (1, 3); report simulates
+    # with one worker.
+    @pytest.mark.parametrize("args, bad, share", [
+        (["simulate", "--reps", "4", "--workers", "1"], 0, 0),
+        (["simulate", "--reps", "4", "--workers", "2"], 0, 0),
+        (["simulate", "--reps", "4", "--workers", "2"], 1, 1),
+        (["report", "--reps", "2"], 0, 0),
+    ], ids=["one_worker", "share_0", "share_1", "report"])
+    def test_fault_in_any_share_is_io_error(self, fresh_python, args, bad, share):
+        out = fresh_python(textwrap.dedent(f"""
+            import os, sys, tempfile
+            from traincost import failure_sim
+            from traincost.cli import main
+
+            real_simulate_run = failure_sim.simulate_run
+
+            def outcome(config, index):
+                if index == {bad}:
+                    raise ArithmeticError("replication {bad}")
+                return real_simulate_run(config, index)
+
+            failure_sim._available_cpus = lambda: 2
+            failure_sim.simulate_run = outcome
+            # During main, fd 1 and fd 2 are files, which a forked child
+            # inherits; an exception out of main reaches the real stderr.
+            saved = os.dup(1), os.dup(2)
+            with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+                os.dup2(out.fileno(), 1)
+                os.dup2(err.fileno(), 2)
+                try:
+                    code = main({args!r})
+                finally:
+                    sys.stdout.flush()
+                    sys.stderr.flush()
+                    os.dup2(saved[0], 1)
+                    os.dup2(saved[1], 2)
+                out.seek(0)
+                err.seek(0)
+                print(repr((code, out.read(), err.read().decode().splitlines()[-1])))
+        """))
+        assert out == repr((3, b"", f"i/o error: simulation share {share} failed")) + "\n"
 
     def test_seed_changes_output(self, capsys):
         _, a, _ = run_cli(capsys, "simulate", "--seed", "1", "--reps", "3")
@@ -777,7 +831,7 @@ def test_missing_results_are_non_finite_numbers():
 
 @pytest.mark.parametrize("cell, error, message", [
     ("a,b", ValueError, r"^unsupported characters in CSV cell: 'a,b'$"),
-    (True, TypeError, r"^boolean cells are not part of any table contract$"),
+    (True, TypeError, r"^unsupported cell type: bool$"),
 ], ids=["comma", "bool"])
 def test_cells_outside_the_contract_are_rejected(cell, error, message):
     with pytest.raises(error, match=message):

@@ -139,16 +139,17 @@ class TestWorkerBound:
 
         monkeypatch.setattr(failure_sim, "simulate_run", failing_at_3)
         monkeypatch.setattr(failure_sim, "_available_cpus", lambda: 2)
-        with pytest.raises(ChildProcessError, match="simulation worker 1 exited with status 1"):
+        with pytest.raises(ChildProcessError, match="^simulation share 1 failed$"):
             collect_replications(reference_config(replications=4), 2)
         with pytest.raises(ChildProcessError):  # no child is left to reap
             os.waitpid(-1, os.WNOHANG)
 
     def test_failure_in_parent_share_propagates_after_reaping(self, fresh_python):
-        # The exception from the parent's share comes out at once, and only
-        # once no child is left to reap: the parent stops the child, whose
-        # share would take 30 s, instead of waiting for it. The child prints
-        # nothing; fd 2, which it inherits, is a file read back at the end.
+        # The parent's share fails at once, and its ChildProcessError comes
+        # out only once no child is left to reap: the parent stops the
+        # child, whose share would take 30 s, instead of waiting for it.
+        # fd 2, which the child inherits, is a file read back at the end: it
+        # holds the parent's one traceback and nothing from the child.
         out = fresh_python(textwrap.dedent("""
             import os, tempfile, time
             from traincost import failure_sim
@@ -170,16 +171,17 @@ class TestWorkerBound:
             start = time.monotonic()
             try:
                 failure_sim.collect_replications(config, 2)
-            except ArithmeticError as exc:
+            except ChildProcessError as exc:
                 print(exc, time.monotonic() - start < 10, end=";")
             try:
                 os.waitpid(-1, os.WNOHANG)
             except ChildProcessError:
                 print("reaped", end=";")
             stderr.seek(0)
-            print(stderr.read(), end=";")
+            err = stderr.read().decode()
+            print(err.count("Traceback"), err.splitlines()[-1], end=";")
         """))
-        assert out == "replication 0 True;reaped;b'';"
+        assert out == "simulation share 0 failed True;reaped;1 ArithmeticError: replication 0;"
 
     @pytest.mark.skipif(sys.platform != "linux", reason="lists /proc/self/fd")
     def test_no_descriptor_or_child_left_behind(self, monkeypatch):
@@ -200,10 +202,10 @@ class TestWorkerBound:
         before = sorted(os.listdir("/proc/self/fd"))
         assert len(collect_replications(config, 3)) == 6
         monkeypatch.setattr(failure_sim, "simulate_run", failing_at(4))
-        with pytest.raises(ChildProcessError, match="simulation worker 1 exited with status 1"):
+        with pytest.raises(ChildProcessError, match="^simulation share 1 failed$"):
             collect_replications(config, 3)
         monkeypatch.setattr(failure_sim, "simulate_run", failing_at(3))
-        with pytest.raises(ArithmeticError, match="replication 3"):
+        with pytest.raises(ChildProcessError, match="^simulation share 0 failed$"):
             collect_replications(config, 3)
         assert sorted(os.listdir("/proc/self/fd")) == before
         with pytest.raises(ChildProcessError):  # no child is left to reap

@@ -7,6 +7,10 @@ Each revision is unpacked from `git archive` into its own directory under
 .bench_work/pairs/, and perfbench/run.py runs there with the same seed on
 both sides, one pair per seed (--seed, --seed + 1, ...), for BENCHMARK.json's
 run_seconds. The base runs first in even pairs and the change in odd ones.
+Before each side's run, a host probe times a fixed pure-Python loop in a
+fresh interpreter, alone and then as two copies at once; the pair keeps it
+under "probe", beside that side's result, so that a drifted run can be told
+from a slow change. The summaries read only the results.
 
 The JSON file holds a list of runs of one workload. Each run holds every
 result line of its pairs, each end-to-end metric's medians, quartiles and
@@ -33,6 +37,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORK = ROOT / ".bench_work" / "pairs"
+# The probe loop; it prints its own time in ms, about 45 ms on a 2-core
+# x86-64 container under CPython 3.11.
+PROBE = ("import time\nstart = time.perf_counter()\ntotal = 0\n"
+         "for i in range(500_000):\n    total += i\n"
+         "print((time.perf_counter() - start) * 1e3)")
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -123,6 +132,34 @@ def add_run(report: dict | None, workload: str, seconds: float, run: dict,
     return report
 
 
+def _probe_loops(copies: int) -> list[float]:
+    """The probe loop's time in ms in each of copies fresh interpreters started at once."""
+    runs = [subprocess.Popen([sys.executable, "-S", "-c", PROBE], stdout=subprocess.PIPE,
+                             text=True) for _ in range(copies)]
+    return [float(run.communicate()[0]) for run in runs]
+
+
+def host_probe() -> dict:
+    """{"loop_ms": the probe loop alone, "pair_ratio": two copies at once over it}.
+
+    pair_ratio is the mean of the two concurrent times over loop_ms: near 1
+    on a host that runs both at once, near 2 on one that gives one core.
+    """
+    [alone] = _probe_loops(1)
+    return {"loop_ms": alone, "pair_ratio": statistics.fmean(_probe_loops(2)) / alone}
+
+
+def run_pair(dirs: dict[str, Path], workload: str, seed: int, seconds: float,
+             base_first: bool) -> dict:
+    """One pair of runs with one seed, each side after its own host probe."""
+    order = ("base", "change") if base_first else ("change", "base")
+    pair = {"seed": seed, "first": order[0], "probe": {}}
+    for side in order:
+        pair["probe"][side] = host_probe()
+        pair[side] = run_once(dirs[side], workload, seed, seconds)
+    return pair
+
+
 def run_once(directory: Path, workload: str, seed: int, seconds: float) -> dict:
     """perfbench/run.py in a checkout; returns its result line as an object."""
     done = subprocess.run(
@@ -165,12 +202,8 @@ def main(argv: list[str] | None = None) -> int:
     pairs = []
     for i in range(args.pairs):
         seed = args.seed + i
-        order = ("base", "change") if i % 2 == 0 else ("change", "base")
-        pair = {"seed": seed, "first": order[0]}
-        for side in order:
-            pair[side] = run_once(dirs[side], args.workload, seed, seconds)
+        pairs.append(run_pair(dirs, args.workload, seed, seconds, base_first=i % 2 == 0))
         print(f"pair {i + 1}/{args.pairs} (seed {seed}) done", file=sys.stderr)
-        pairs.append(pair)
 
     run = {
         "seeds": [pair["seed"] for pair in pairs],
