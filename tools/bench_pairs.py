@@ -13,12 +13,12 @@ under "probe", beside that side's result, so that a drifted run can be told
 from a slow change. The summaries read only the results.
 
 The JSON file holds a list of runs of one workload. Each run holds every
-result line of its pairs, each end-to-end metric's medians, quartiles and
-the pairs the change won, the seeds, the commit ids, and the Python
-version, core count and PYTHONDONTWRITEBYTECODE setting of the host. If
---out already exists, the new run is added to its runs, so that no run of
-a claim is left out of its file, and the file's top-level summary pools
-the pairs of every run. Standard library only.
+result line of its pairs with their host probes, each end-to-end metric's
+medians, quartiles and the pairs the change won, the seeds, the commit
+ids, and the Python version, core count and PYTHONDONTWRITEBYTECODE
+setting of the host. If --out already exists, the new run is added to its
+runs, so that no run of a claim is left out of its file, and the file's
+top-level summary pools the pairs of every run. Standard library only.
 """
 
 from __future__ import annotations
