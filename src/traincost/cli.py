@@ -15,8 +15,8 @@ import math
 import os
 import sys
 from collections.abc import Iterable
-from dataclasses import astuple, fields, replace
-from operator import itemgetter
+from dataclasses import fields, replace
+from operator import attrgetter, itemgetter
 
 # failure_sim and svgplot are imported by the functions that use them, so
 # a request loads neither unless it simulates or draws a chart.
@@ -247,8 +247,7 @@ def cmd_project(
     series = []
     for scenario in scenarios:
         year_rows = projection.project_years(years, config.growth, scenario, rates, config.market)
-        for year_row in year_rows:
-            cells = astuple(year_row)
+        for cells in map(attrgetter(*PROJECT_COLUMNS[1:]), year_rows):
             _require_finite(*cells)
             rows.append((scenario.name, *cells))
         series.append((scenario.name, [(float(r.year), r.gpu_cost_usd) for r in year_rows]))
@@ -293,7 +292,8 @@ def cmd_simulate(
     )
     outcomes = failure_sim.collect_replications(sim_config, workers)
     result = failure_sim.summarize(outcomes)
-    rows = ((i, wall, *astuple(counts)) for i, (wall, counts) in enumerate(outcomes))
+    count_cells = attrgetter(*SIMULATE_COLUMNS[2:])
+    rows = ((i, wall, *count_cells(counts)) for i, (wall, counts) in enumerate(outcomes))
     table = CsvTable(SIMULATE_COLUMNS, rows)
 
     analytic_h = sim_config.run.wall_h
@@ -343,26 +343,24 @@ def cmd_report(config: ConfigFile, seed: int, replications: int) -> str:
 def _narrative(config: ConfigFile) -> str:
     rates = config.cluster.rates
     dense_1t = moe_training_flops(ModelSpec(1e12, 1), config.scaling)
-    rows_2023 = projection.training_cost_at(
-        config.growth.base_year, config.growth, SCENARIOS["best_guess"], rates, config.market
+    best_guess = SCENARIOS["best_guess"]
+    base_year_row, five_years_on_row = (
+        projection.training_cost_at(year, config.growth, best_guess, rates, config.market)
+        for year in (config.growth.base_year, config.growth.base_year + 5)
     )
-    rows_2028 = projection.training_cost_at(
-        config.growth.base_year + 5, config.growth, SCENARIOS["best_guess"], rates, config.market
-    )
-    crossings = projection.intersection_year(
-        config.growth, SCENARIOS["best_guess"], rates, config.market
-    )
-    growth_rate = projection.compute_growth_rate(config.growth, SCENARIOS["best_guess"])
+    crossings = projection.intersection_year(config.growth, best_guess, rates, config.market)
+    growth_rate = projection.compute_growth_rate(config.growth, best_guess)
     lines = [
         "Reference points (commonly cited estimates) vs this configuration:",
         f"- a 1T-parameter dense model needs ~1.2e26 FLOP; this config gives {dense_1t:.3g}.",
         f"- at 1e15 FLOP/s sustained, 1e26 FLOP is ~28M ideal GPU-hours; this config "
         f"sustains {rates.sustained_flops_per_gpu:.3g} FLOP/s per GPU.",
         f"- best-guess run cost in {config.growth.base_year}: "
-        f"${rows_2023.gpu_cost_usd/1e6:.1f}M GPU / ${rows_2023.cloud_cost_usd/1e6:.1f}M cloud "
+        f"${base_year_row.gpu_cost_usd/1e6:.1f}M GPU / "
+        f"${base_year_row.cloud_cost_usd/1e6:.1f}M cloud "
         "(GPT-4-class estimates: $6.7M / $32M).",
         f"- best-guess run cost in {config.growth.base_year + 5}: "
-        f"${rows_2028.gpu_cost_usd/1e9:.1f}B GPU (widely quoted ballpark: $19B).",
+        f"${five_years_on_row.gpu_cost_usd/1e9:.1f}B GPU (widely quoted ballpark: $19B).",
         f"- required compute grows {growth_rate:.0%}/year at these trends (>500%).",
         _resilience_line(config),
     ]
@@ -381,18 +379,19 @@ def _narrative(config: ConfigFile) -> str:
 
 
 def _resilience_line(config: ConfigFile) -> str:
-    """The optimized-over-baseline speed-up at 50k GPUs, or which strategy stalls."""
+    """The optimized-over-baseline speed-up at DEFAULT_SIM_GPUS, or which strategy stalls."""
     _, _, series = cmd_sweep(config, [DEFAULT_SIM_GPUS])
+    at_size = f"at {DEFAULT_SIM_GPUS // 1000}k GPUs"
     walls = {name: points[0][1] for name, points in series if points}
     stalled = [name for name, points in series if not points]
     if stalled:
         verb = "strategies make" if len(stalled) > 1 else "strategy makes"
         return (
-            f"- the {' and '.join(stalled)} {verb} no progress at 50k GPUs (NoProgress), "
+            f"- the {' and '.join(stalled)} {verb} no progress {at_size} (NoProgress), "
             "so no speed-up is given (~2x)."
         )
     ratio = walls["baseline"] / walls["optimized"]
-    return f"- optimized resilience is {ratio:.2f}x faster than baseline at 50k GPUs (~2x)."
+    return f"- optimized resilience is {ratio:.2f}x faster than baseline {at_size} (~2x)."
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -38,6 +38,7 @@ from .scaling_laws import (
     ModelSpec,
     ScalingConstants,
     _fits_float,
+    _require_positive,
     dollar_cost,
     moe_training_flops,
 )
@@ -67,9 +68,7 @@ class ClusterSpec:
     def __post_init__(self):
         for name in ("n_gpus", "gpus_per_cpu", "gpus_per_group"):
             _require_count(name, getattr(self, name))
-        for name in ("gpu_mtbf_h", "cpu_mtbf_h", "gpu_mem_gb", "fs_bw_gbs"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
+        _require_positive(self, "gpu_mtbf_h", "cpu_mtbf_h", "gpu_mem_gb", "fs_bw_gbs")
 
 
 @dataclass(frozen=True)

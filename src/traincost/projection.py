@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .scaling_laws import HOURS_TO_SECONDS, CostRates
+from .scaling_laws import HOURS_TO_SECONDS, CostRates, _require_positive
 
 SCENARIO_NAMES = ("best_case", "best_guess", "worst_case", "custom")
 
@@ -31,9 +31,8 @@ class GrowthModel:
     gpu_perf_per_dollar_doubling_years: float = 2.46
 
     def __post_init__(self):
-        for name in ("base_params", "param_growth_per_year", "gpu_perf_per_dollar_doubling_years"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
+        _require_positive(self, "base_params", "param_growth_per_year",
+                          "gpu_perf_per_dollar_doubling_years")
 
 
 @dataclass(frozen=True)
@@ -58,8 +57,7 @@ class Scenario:
             raise ValueError(f"name must be one of {SCENARIO_NAMES}")
         if not self.experts_per_year >= 0:
             raise ValueError("experts_per_year must be >= 0")
-        if not self.flop_per_param_with_tokens > 0:
-            raise ValueError("flop_per_param_with_tokens must be > 0")
+        _require_positive(self, "flop_per_param_with_tokens")
         if not self.base_experts >= 1:
             raise ValueError("base_experts must be >= 1")
         if not 1.0 <= self.token_scaling <= 2.5:
@@ -92,9 +90,7 @@ class MarketModel:
     it_spend_growth: float = 0.05
 
     def __post_init__(self):
-        for name in ("gpu_installed_base_usd", "it_spend_usd"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
+        _require_positive(self, "gpu_installed_base_usd", "it_spend_usd")
         for name in ("gpu_installed_base_growth", "it_spend_growth"):
             if not getattr(self, name) > -1:
                 raise ValueError(f"{name} must be > -1")

@@ -23,6 +23,13 @@ def _fits_float(value) -> bool:
         return False
 
 
+def _require_positive(record, *names: str) -> None:
+    """ValueError naming the first of record's named fields that is not > 0."""
+    for name in names:
+        if not getattr(record, name) > 0:
+            raise ValueError(f"{name} must be > 0")
+
+
 @dataclass(frozen=True)
 class ScalingConstants:
     """Empirical constants of the training-compute law."""
@@ -32,9 +39,7 @@ class ScalingConstants:
     token_scaling: float = 2.0
 
     def __post_init__(self):
-        for name in ("flop_per_token", "tokens_per_param"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
+        _require_positive(self, "flop_per_token", "tokens_per_param")
         if not 1.0 <= self.token_scaling <= 2.5:
             raise ValueError("token_scaling must lie in [1.0, 2.5]")
 
@@ -63,9 +68,8 @@ class CostRates:
     cloud_multiplier: float = 4.8
 
     def __post_init__(self):
-        for name in ("sustained_flops_per_gpu", "dollars_per_gpu_hour", "cloud_multiplier"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
+        _require_positive(self, "sustained_flops_per_gpu", "dollars_per_gpu_hour",
+                          "cloud_multiplier")
 
 
 def _power(base, exponent: float):

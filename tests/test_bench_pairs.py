@@ -108,3 +108,34 @@ def test_each_side_of_a_pair_keeps_its_host_probe(monkeypatch):
         assert all(type(value) is float and value > 0 for value in probe.values())
     without = {key: value for key, value in pair.items() if key != "probe"}
     assert bench_pairs.summarize([pair], BETTER) == bench_pairs.summarize([without], BETTER)
+
+
+def probe(loop_ms, pair_ratio):
+    return {"loop_ms": loop_ms, "pair_ratio": pair_ratio}
+
+
+def test_the_probe_spread_reads_every_probed_pair():
+    # Three pairs with host probes, and one from before the probe existed.
+    probed = [(40.0, 1.0, 50.0, 1.2), (60.0, 1.4, 60.0, 1.0), (80.0, 1.6, 100.0, 0.8)]
+    pairs = [{"base": result(1.0, 1.0), "change": result(1.0, 1.0),
+              "probe": {"base": probe(bl, br), "change": probe(cl, cr)}}
+             for bl, br, cl, cr in probed]
+    pairs.insert(1, {"base": result(1.0, 1.0), "change": result(1.0, 1.0)})
+    spread = bench_pairs.probe_spread(pairs)
+
+    assert sorted(spread) == ["base", "change", "loop_ms_ratio", "pairs"]
+    assert spread["pairs"] == 3
+    assert spread["base"]["loop_ms"] == {"median": 60.0, "q1": 50.0, "q3": 70.0, "iqr": 20.0}
+    assert spread["change"]["loop_ms"] == {"median": 60.0, "q1": 55.0, "q3": 80.0, "iqr": 25.0}
+    assert spread["base"]["pair_ratio"]["median"] == pytest.approx(1.4)
+    assert spread["change"]["pair_ratio"]["median"] == pytest.approx(1.0)
+    # change/base per pair: 1.25, 1.0, 1.25.
+    assert spread["loop_ms_ratio"] == pytest.approx(
+        {"median": 1.25, "q1": 1.125, "q3": 1.25, "iqr": 0.125})
+
+    report = bench_pairs.add_run(None, "plan", 30, run(1, 1.0), BETTER)
+    assert report["probe"] is None
+    with_probes = {**run(2, 1.0), "pairs": pairs}
+    report = bench_pairs.add_run(report, "plan", 30, with_probes, BETTER)
+    assert report["probe"] == spread
+    assert report["summary"]["pairs"] == 5

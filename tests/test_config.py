@@ -154,6 +154,21 @@ class TestValidation:
             parse_config(text)
         assert where in str(err.value)
 
+    @pytest.mark.parametrize("value", ["0", "-1", ".nan", "-.inf"])
+    @pytest.mark.parametrize("key", [
+        "scaling.flop_per_token", "scaling.tokens_per_param",
+        "cluster.tf_per_gpu", "cluster.cost_per_gpu_h", "cluster.cloud_multiplier",
+        "cluster.gpu_mtbf_h", "cluster.cpu_mtbf_h", "cluster.gpu_mem_gb", "cluster.fs_bw_gbs",
+        "growth.base_params", "growth.param_growth", "growth.gpu_perf_doubling_years",
+        "scenario.flop_per_param", "market.gpu_base_usd", "market.it_spend_usd",
+    ])
+    def test_positive_keys_name_key_attribute_and_line(self, key, value):
+        section, name = key.split(".")
+        attribute = _FIELDS[key].split(".")[-1]
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"{section}:\n  {name}: {value}\n")
+        assert str(err.value) == f"{key}: {attribute} must be > 0 (line 2)"
+
     def test_ft_f_must_be_below_ft_g(self):
         with pytest.raises(ConfigError) as err:
             parse_config("resilience:\n  ft_f: 100\n  ft_g: 100\n")

@@ -10,7 +10,9 @@ run_seconds. The base runs first in even pairs and the change in odd ones.
 Before each side's run, a host probe times a fixed pure-Python loop in a
 fresh interpreter, alone and then as two copies at once; the pair keeps it
 under "probe", beside that side's result, so that a drifted run can be told
-from a slow change. The summaries read only the results.
+from a slow change. The summaries read only the results; each run, and the
+file's top level, keeps the probes' own quartiles under "probe", so that a
+drifting host shows beside them.
 
 The JSON file holds a list of runs of one workload. Each run holds every
 result line of its pairs with their host probes, each end-to-end metric's
@@ -52,6 +54,12 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def spread(values: list[float]) -> dict:
+    """{"median", "q1", "q3", "iqr"} of the values."""
+    q1, median, q3 = quartiles(values)
+    return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
 def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     """Request counts, and per metric each side's quartiles, the pairs the change won
     and whether a gain shows.
@@ -68,10 +76,7 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
         sign = 1.0 if direction == "higher" else -1.0
         values = {side: [pair[side]["metrics"][name]["value"] for pair in pairs]
                   for side in ("base", "change")}
-        sides = {}
-        for side, series in values.items():
-            q1, median, q3 = quartiles(series)
-            sides[side] = {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
+        sides = {side: spread(series) for side, series in values.items()}
         won = sum(sign * (change - base) > 0
                   for base, change in zip(values["base"], values["change"]))
         margin = sign * (sides["change"]["median"] - sides["base"]["median"])
@@ -89,6 +94,24 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
                    for side in ("base", "change")},
         "metrics": metrics,
     }
+
+
+def probe_spread(pairs: list[dict]) -> dict | None:
+    """The host probes' spread over the pairs: each side's loop_ms and pair_ratio,
+    and the change's loop_ms over the base's in the same pair.
+
+    Pairs run before the probe existed hold none and are left out; None when
+    no pair holds one.
+    """
+    probes = [pair["probe"] for pair in pairs if "probe" in pair]
+    if not probes:
+        return None
+    record = {side: {name: spread([probe[side][name] for probe in probes])
+                     for name in ("loop_ms", "pair_ratio")}
+              for side in ("base", "change")}
+    record["loop_ms_ratio"] = spread([probe["change"]["loop_ms"] / probe["base"]["loop_ms"]
+                                      for probe in probes])
+    return {"pairs": len(probes), **record}
 
 
 def _git(*args: str) -> bytes:
@@ -118,17 +141,20 @@ def check_series(report: dict, workload: str, seconds: float, base: str) -> None
 
 def add_run(report: dict | None, workload: str, seconds: float, run: dict,
             better: dict[str, str]) -> dict:
-    """The report with run added to its runs and its summary pooled over every run.
+    """The report with run added to its runs, and its summary and probe spread
+    pooled over every run.
 
     report is None for a new file. Every run in one report measures one
     workload for one run length against one base commit.
     """
     if report is None:
-        report = {"workload": workload, "seconds": seconds, "summary": None, "runs": []}
+        report = {"workload": workload, "seconds": seconds, "summary": None, "probe": None,
+                  "runs": []}
     check_series(report, workload, seconds, run["commits"]["base"])
     report["runs"].append(run)
-    report["summary"] = summarize([pair for each in report["runs"] for pair in each["pairs"]],
-                                  better)
+    pairs = [pair for each in report["runs"] for pair in each["pairs"]]
+    report["summary"] = summarize(pairs, better)
+    report["probe"] = probe_spread(pairs)
     return report
 
 
@@ -214,6 +240,7 @@ def main(argv: list[str] | None = None) -> int:
             "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         },
         "summary": summarize(pairs, better),
+        "probe": probe_spread(pairs),
         "pairs": pairs,
     }
     report = add_run(earlier, args.workload, seconds, run, better)
