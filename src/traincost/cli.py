@@ -15,7 +15,7 @@ import math
 import os
 import sys
 from collections.abc import Iterable
-from dataclasses import fields, replace
+from dataclasses import replace
 from operator import attrgetter, itemgetter
 
 # failure_sim and svgplot are imported by the functions that use them, so
@@ -51,7 +51,7 @@ SWEEP_COLUMNS = (
 )
 # The RunBreakdown fields behind SWEEP_COLUMNS[5:], picked from a sweep cell's numbers.
 _sweep_row_numbers = itemgetter(*map(
-    [f.name for f in fields(RunBreakdown)].index,
+    RunBreakdown.__match_args__.index,
     ("mtti_h", "mtti_eff_h", "delta_h", "tau_h", "efficiency",
      "wall_h", "gpu_hours", "gpu_dollars", "status"),
 ))

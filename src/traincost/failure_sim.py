@@ -29,12 +29,11 @@ Event semantics
   process is memoryless, so it is redrawn afterwards).
 * The run ends when progress reaches the work target W.
 
-_run_events plays every replication, traced or not, at every F. While
-every group is up and no write is in flight, one pass takes a work stretch
-with its checkpoint write, or an F=0 failure; every other state takes one
-event per pass. tests/test_failure_sim.py keeps the plain one-event loop,
-reference_run_events, which this one must match bit for bit in (wall_h,
-counts), trace and the number of gaps drawn.
+_run_events plays every replication, traced or not, at every F, in one
+loop of one event per pass; only a work stretch and the checkpoint write
+that follows it share a pass. tests/test_failure_sim.py keeps the plain
+one-event loop, reference_run_events, which this one must match bit for
+bit in (wall_h, counts), trace and the number of gaps drawn.
 
 SimConfig refuses a run that could need more than MAX_CHECKPOINTS
 checkpoint writes in one replication, and a checkpoint interval too small
@@ -172,18 +171,21 @@ def _run_events(
     MTTI): one for the first failure and one after each failure, none when
     the MTTI is infinite.
 
-    While every group is up and no write is in flight, an inner loop runs at
-    rate 1.0 (the one-event step's x / 1.0 and x * 1.0 are exact, so they
-    are dropped). Each pass is one work stretch with its checkpoint write,
-    or at F=0 one failure, which interrupts in place: progress stands at the
-    last checkpoint then, and interrupts equal failures, so only failures
-    is counted. The end of the work, the horizon and a failure that F>0
-    rides out (with the write left in flight if it lands in one) are left
-    to the one-event step, which plays every state with a group down or a
-    write in flight.
+    Each pass plays the earliest of a repair, the end of a work stretch or
+    of a write, and a failure, which interrupts or is ridden out; a horizon
+    that comes before the next failure takes its place and censors the run.
+    A stretch and its write share a pass when the write ends before the
+    next repair and no later than the next failure and the horizon: the
+    write end is then the next event anyway. The groups down, the next
+    repair time and the progress rate change only at events and are kept
+    across passes; progress is brought up to date where its rate changes
+    while it accrues, at repairs and ride-outs.
     """
     work, tau, delta, mtti, groups = run.solve_h, run.tau_h, run.delta_h, run.mtti_h, run.groups
     tolerated, ttr = run.tolerated_group_failures, run.ttr_h
+    # A failure that finds this many groups down interrupts; with every group
+    # tolerated, none does.
+    interrupt_at = tolerated if tolerated < groups else -1
     inf = math.inf
     draw = gaps.__next__
 
@@ -195,118 +197,89 @@ def _run_events(
     if work < target:
         target = work
     repairs_due: deque[float] = deque()  # one repair time per down group, FIFO
-    writing_until: float | None = None
-    failures = repairs = checkpoints = interrupts = 0
+    down = 0  # len(repairs_due)
+    t_repair = inf  # repairs_due[0], or inf with every group up
+    rate = 1.0  # progress per hour: 0.0 while a write is in flight or every group is down
+    write_end = inf  # when the write in flight ends
+    ride_outs = repairs = checkpoints = interrupts = 0
     # An infinite MTTI draws no gap; a failure is only ever played within
     # the horizon, so the draws after it need no such check.
     next_fail = t + mtti * draw() if math.isfinite(mtti) else inf
+    t_fail = next_fail if next_fail <= max_wall_h else max_wall_h  # min(), as below
 
-    # The comparisons below are min(), spelled out: each keeps the first of
-    # equal values, as min() does, without the call. Ties go to repairs,
-    # then work and write ends, then failures; simultaneous events have
+    # Ties go to repairs, then work and write ends, then failures, as in a
+    # min() over (repair, work, failure); simultaneous events have
     # probability zero anyway.
     while True:
-        if writing_until is None and not repairs_due:
-            while True:
-                t_work = t + (target - progress)
-                if t_work <= next_fail:
-                    if t_work > max_wall_h or target >= work:
-                        break  # censored or done
-                    if emit:
-                        emit((t_work, EVENT_CKPT_START, 0))
-                    t_end = t_work + delta
-                    if t_end <= next_fail and t_end <= max_wall_h:
-                        t = t_end
-                        progress = ckpt_progress = target
-                        checkpoints += 1
-                        target = ckpt_progress + tau
-                        if work < target:
-                            target = work
-                        if emit:
-                            emit((t, EVENT_CKPT_END, 0))
-                        continue
-                    if tolerated or next_fail > max_wall_h:
-                        progress = target
-                        writing_until = t_end
-                        break  # censored, or a failure to ride out lands in the write
-                elif tolerated or next_fail > max_wall_h:
-                    break  # a failure to ride out, or censored
-                # At F=0 the failure interrupts; progress stays at the checkpoint.
-                failures += 1
+        t_work = t + (target - progress) / rate if rate else write_end
+        if t_fail < t_work and t_fail < t_repair:
+            if next_fail > max_wall_h:
+                t = inf  # censored
+                break
+            if down == interrupt_at:
+                interrupts += 1
                 t = next_fail + ttr
                 if emit:
-                    emit((next_fail, EVENT_FAIL, 1))
-                    emit((next_fail, EVENT_INTERRUPT, 1))
+                    emit((next_fail, EVENT_FAIL, down + 1))
+                    emit((next_fail, EVENT_INTERRUPT, down + 1))
                     emit((t, EVENT_RESTART, 0))
-                next_fail = t + mtti * draw()
-
-        active = groups - len(repairs_due)
-        rate = active / groups  # exactly 1.0 with all groups up
-        if writing_until is not None:
-            t_work = writing_until
-        elif active > 0:
-            t_work = t + (target - progress) / rate
-        else:
-            t_work = inf  # all groups down, waiting on repairs
-        t_repair = repairs_due[0] if repairs_due else inf
-        t_next = next_fail
-        if t_repair < t_next:
-            t_next = t_repair
-        if t_work < t_next:
-            t_next = t_work
-
-        if t_next > max_wall_h:
-            t = inf  # censored
-            break
-
-        if writing_until is None and active > 0:
-            progress += (t_next - t) * rate
-        t = t_next
-
-        if t_repair <= next_fail and t_repair <= t_work:
-            repairs_due.popleft()
-            repairs += 1
-            if emit:
-                emit((t, EVENT_REPAIR, len(repairs_due)))
-        elif t_work <= next_fail:
-            if writing_until is not None:
-                writing_until = None
-                ckpt_progress = progress
-                checkpoints += 1
-                target = ckpt_progress + tau
-                if work < target:
-                    target = work
-                if emit:
-                    emit((t, EVENT_CKPT_END, len(repairs_due)))
+                progress = ckpt_progress
+                write_end = inf
+                if down:
+                    repairs_due.clear()
+                    down = 0
+                    t_repair = inf
+                rate = 1.0
             else:
+                ride_outs += 1
+                progress += (next_fail - t) * rate
+                t = next_fail
+                if down < groups:
+                    repairs_due.append(t + ttr)
+                    down += 1
+                    t_repair = repairs_due[0]
+                    if write_end == inf:
+                        rate = (groups - down) / groups
+                if emit:
+                    emit((t, EVENT_FAIL, down))
+            next_fail = t + mtti * draw()
+            t_fail = next_fail if next_fail <= max_wall_h else max_wall_h
+        elif t_repair <= t_work:
+            progress += (t_repair - t) * rate
+            t = t_repair
+            repairs_due.popleft()
+            down -= 1
+            repairs += 1
+            t_repair = repairs_due[0] if down else inf
+            if write_end == inf:
+                rate = (groups - down) / groups
+            if emit:
+                emit((t, EVENT_REPAIR, down))
+        else:
+            t = t_work
+            if rate:
                 progress = target  # snap away accrual rounding
                 if progress >= work:
                     if emit:
-                        emit((t, EVENT_DONE, len(repairs_due)))
+                        emit((t, EVENT_DONE, down))
                     break
-                writing_until = t + delta
+                write_end = t + delta
                 if emit:
-                    emit((t, EVENT_CKPT_START, len(repairs_due)))
-        else:
-            failures += 1
-            if active > 0:
-                repairs_due.append(t + ttr)
+                    emit((t, EVENT_CKPT_START, down))
+                if write_end >= t_repair or write_end > t_fail:
+                    rate = 0.0
+                    continue
+                t = write_end
+            write_end = inf
+            ckpt_progress = progress
+            checkpoints += 1
+            target = ckpt_progress + tau
+            if work < target:
+                target = work
+            rate = (groups - down) / groups
             if emit:
-                emit((t, EVENT_FAIL, len(repairs_due)))
-            if len(repairs_due) > tolerated:
-                interrupts += 1
-                if emit:
-                    emit((t, EVENT_INTERRUPT, len(repairs_due)))
-                progress = ckpt_progress
-                writing_until = None
-                t += ttr
-                repairs_due.clear()
-                if emit:
-                    emit((t, EVENT_RESTART, 0))
-            next_fail = t + mtti * draw()
-    if not tolerated:
-        interrupts = failures  # the inner loop counts only failures at F=0
-    return t, EventCounts(failures, repairs, checkpoints, interrupts)
+                emit((t, EVENT_CKPT_END, down))
+    return t, EventCounts(interrupts + ride_outs, repairs, checkpoints, interrupts)
 
 
 def simulate_run(

@@ -437,9 +437,8 @@ def fails_mid_write(trace):
     return any(a == EVENT_CKPT_START and b == EVENT_FAIL for a, b in zip(kinds, kinds[1:]))
 
 
-# F=0 cases, which the every-group-up loop of _run_events plays to the end,
-# each with a check that it shows what its name says: check(run, max_wall_h,
-# (wall, counts), draws, trace).
+# F=0 cases, where every failure interrupts, each with a check that it shows
+# what its name says: check(run, max_wall_h, (wall, counts), draws, trace).
 F0_CASES = {
     "mtti_far_below_tau": (
         loop_case(10, 0, 2.0, 1.0, 1e5, solve_h=30.0, tau_h=12.0, delta_h=0.5),
@@ -502,8 +501,7 @@ def last_repair_mid_write(trace):
                for (kind, _, after, writing), (next_kind, *_) in zip(states, states[1:]))
 
 
-# F>0 cases that leave the every-group-up loop for the one-event step,
-# checked as F0_CASES are.
+# F>0 cases, where failures are ridden out, checked as F0_CASES are.
 RIDE_OUT_CASES = {
     "during_work": (
         loop_case(20, 5, 4.0, 1.0, 5000.0),
@@ -602,9 +600,30 @@ class TestEventLoopMatchesReference:
         # group is repaired: the repair goes first, so the trace has the
         # write start with every group up.
         (2.0, [8.0, 100.0], (24.0, EventCounts(1, 1, 2, 0))),
-    ], ids=["at_a_repair", "at_a_write_end_with_a_group_down", "at_a_work_end_with_a_repair"])
+        # The failure at 1 h is repaired at 18.5 h; work at half rate ends at
+        # 17 h and its write at 18.5 h: the repair goes first, so the write
+        # ends with every group up.
+        (17.5, [1.0, 100.0], (31.0, EventCounts(1, 1, 2, 0))),
+    ], ids=["at_a_repair", "at_a_write_end_with_a_group_down", "at_a_work_end_with_a_repair",
+            "at_a_write_end_with_a_repair"])
     def test_f1_ties_go_to_repairs_then_work_and_writes(self, ttr_h, gaps, want):
         run, max_wall_h, _ = loop_case(2, 1, 1.0, ttr_h, 5000.0, solve_h=20.0)
+        got, _ = assert_matches_reference(run, max_wall_h, lambda: iter(gaps))
+        assert got == want
+
+    # An event exactly at the horizon is played; the run is censored at the
+    # first event past it. Work ends at 9 and 19.5 h and writes end at 10.5
+    # and 21 h, as above, with solve 200 h.
+    @pytest.mark.parametrize("case, gaps, want", [
+        (loop_case(10, 0, math.inf, 2.0, 9.0), [], (math.inf, EventCounts(0, 0, 0, 0))),
+        (loop_case(10, 0, math.inf, 2.0, 21.0), [], (math.inf, EventCounts(0, 0, 2, 0))),
+        # The failure at 5 h interrupts; the restart at 7 h is past the horizon.
+        (loop_case(1, 0, 1.0, 2.0, 5.0), [5.0, 100.0], (math.inf, EventCounts(1, 0, 0, 1))),
+        # F=1 with 2 groups: the failure at 5 h is ridden out and repaired at 7 h.
+        (loop_case(2, 1, 1.0, 2.0, 7.0), [5.0, 100.0], (math.inf, EventCounts(1, 1, 0, 0))),
+    ], ids=["a_work_end", "a_write_end", "a_failure", "a_repair"])
+    def test_an_event_at_the_horizon_is_played(self, case, gaps, want):
+        run, max_wall_h, _ = case
         got, _ = assert_matches_reference(run, max_wall_h, lambda: iter(gaps))
         assert got == want
 
