@@ -205,7 +205,7 @@ def _run_events(
     # An infinite MTTI draws no gap; a failure is only ever played within
     # the horizon, so the draws after it need no such check.
     next_fail = t + mtti * draw() if math.isfinite(mtti) else inf
-    t_fail = next_fail if next_fail <= max_wall_h else max_wall_h  # min(), as below
+    t_fail = next_fail if next_fail <= max_wall_h else max_wall_h  # min(next_fail, max_wall_h)
 
     # Ties go to repairs, then work and write ends, then failures, as in a
     # min() over (repair, work, failure); simultaneous events have
