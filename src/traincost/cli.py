@@ -45,16 +45,16 @@ MAX_RANGE_POINTS = 100_000
 MAX_YEARS_SPAN = 1_000
 MAX_REPLICATIONS = 100_000
 
-SWEEP_COLUMNS = (
-    "n_gpus", "config", "params", "experts", "flops", "mtti_h", "mtti_eff_h",
-    "ckpt_h", "tau_h", "efficiency", "wall_h", "gpu_hours", "gpu_cost_usd", "status",
-)
-# The RunBreakdown fields behind SWEEP_COLUMNS[5:], picked from a sweep cell's numbers.
-_sweep_row_numbers = itemgetter(*map(
-    RunBreakdown.__match_args__.index,
-    ("mtti_h", "mtti_eff_h", "delta_h", "tau_h", "efficiency",
-     "wall_h", "gpu_hours", "gpu_dollars", "status"),
-))
+# Each sweep column after the request's own five, in order, and the
+# RunBreakdown field it prints.
+_SWEEP_FIELDS = {
+    "mtti_h": "mtti_h", "mtti_eff_h": "mtti_eff_h", "ckpt_h": "delta_h", "tau_h": "tau_h",
+    "efficiency": "efficiency", "wall_h": "wall_h", "gpu_hours": "gpu_hours",
+    "gpu_cost_usd": "gpu_dollars", "status": "status",
+}
+SWEEP_COLUMNS = ("n_gpus", "config", "params", "experts", "flops", *_SWEEP_FIELDS)
+# A sweep cell's _SWEEP_FIELDS values, picked from its numbers.
+_sweep_cells = itemgetter(*map(RunBreakdown.__match_args__.index, _SWEEP_FIELDS.values()))
 PROJECT_COLUMNS = (
     "scenario", "year", "params", "experts", "flops", "gpu_hours",
     "gpu_cost_usd", "cloud_cost_usd", "gpu_base_usd", "it_spend_usd",
@@ -150,22 +150,16 @@ def _require_finite(*values: float) -> None:
 
 
 def _select_scenarios(config: ConfigFile, names_arg: str) -> list[Scenario]:
-    scenarios = []
-    for name in names_arg.split(","):
-        name = name.strip()
-        if any(scenario.name == name for scenario in scenarios):
+    # "custom" is the config's own scenario, whatever preset it starts from.
+    choices = {**SCENARIOS, "custom": replace(config.scenario, name="custom")}
+    chosen: dict[str, Scenario] = {}
+    for name in map(str.strip, names_arg.split(",")):
+        if name in chosen:
             raise CliError(f"scenario {name!r} is named more than once")
-        if name == "custom":
-            # The config's own scenario, whatever preset it starts from.
-            scenarios.append(replace(config.scenario, name="custom"))
-        elif name in SCENARIOS:
-            scenarios.append(SCENARIOS[name])
-        else:
-            raise CliError(
-                f"unknown scenario {name!r}; choose from "
-                f"{', '.join((*SCENARIOS, 'custom'))}"
-            )
-    return scenarios
+        if name not in choices:
+            raise CliError(f"unknown scenario {name!r}; choose from {', '.join(choices)}")
+        chosen[name] = choices[name]
+    return list(chosen.values())
 
 
 def cmd_cost(config: ConfigFile, params: float, experts: int) -> tuple[CsvTable, str]:
@@ -210,15 +204,14 @@ def cmd_sweep(config: ConfigFile, gpus_list: list[int]) -> tuple[CsvTable, str, 
         for n_gpus, name, numbers in cluster_model.sweep_numbers(
             model, config.scaling, config.cluster, variants, gpus_list
         ):
-            mtti, m_eff, delta, tau, eta, wall_h, gpu_hours, gpu_dollars, status = (
-                _sweep_row_numbers(numbers))
+            cells = _sweep_cells(numbers)
+            wall_h, gpu_hours, gpu_dollars, status = cells[-4:]
             if status == STATUS_OK:
                 _require_finite(wall_h, gpu_hours, gpu_dollars)
                 points[name].append((n_gpus, wall_h))
             else:
                 stalled.setdefault(name, n_gpus)
-            yield (n_gpus, name, params, experts, flops, mtti, m_eff, delta, tau, eta,
-                   wall_h, gpu_hours, gpu_dollars, status)
+            yield (n_gpus, name, params, experts, flops, *cells)
 
     table = CsvTable(SWEEP_COLUMNS, rows())
     lines = []
@@ -327,8 +320,8 @@ def cmd_report(config: ConfigFile, seed: int, replications: int) -> str:
     sweep_table, _, _ = cmd_sweep(config, gpus_list)
     sections.append("== time-to-train vs system size ==\n" + sweep_table.to_csv())
 
-    scenarios = [SCENARIOS[n] for n in ("best_case", "best_guess", "worst_case")]
-    project_table, project_summary, _ = cmd_project(config, default_years(config), scenarios)
+    project_table, project_summary, _ = cmd_project(
+        config, default_years(config), list(SCENARIOS.values()))
     sections.append("== cost projection ==\n" + project_table.to_csv())
     sections.append("== market crossings ==\n" + project_summary)
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 from .scaling_laws import (
     HOURS_TO_SECONDS,
@@ -311,7 +311,7 @@ def sweep_numbers(
         template = cluster_template
         if variant.fs_bw_gbs is not None:
             template = replace(template, fs_bw_gbs=variant.fs_bw_gbs)
-        rest = tuple(getattr(template, f.name) for f in fields(ClusterSpec)[1:])
+        rest = tuple(getattr(template, name) for name in ClusterSpec.__match_args__[1:])
         strategies.append((variant.name, variant.resilience, rest))
 
     for n_gpus in n_gpus_list:

@@ -18,17 +18,20 @@ def result(tail, rows, failed=0):
 BETTER = {"req_tail_s": "lower", "rows_per_s": "higher"}
 
 
-def test_summary_of_canned_pairs():
+def canned_pairs():
     # The change's tail is lower in 9 of 10 pairs, well past the base's spread;
     # its row rate is higher in 5 and tied in 1.
     base_tails = [0.160, 0.150, 0.170, 0.155, 0.165, 0.158, 0.162, 0.150, 0.168, 0.140]
     change_tails = [0.130, 0.132, 0.128, 0.135, 0.131, 0.129, 0.133, 0.134, 0.127, 0.145]
     base_rows = [1000, 1000, 1000, 1000, 1000, 1000, 1000, 1000, 1000, 1000]
     change_rows = [1010, 990, 1020, 980, 1030, 970, 1040, 960, 1050, 1000]
-    pairs = [{"seed": i, "base": result(bt, br), "change": result(ct, cr, failed=i == 3)}
-             for i, (bt, ct, br, cr) in enumerate(zip(base_tails, change_tails,
-                                                      base_rows, change_rows))]
-    summary = bench_pairs.summarize(pairs, BETTER)
+    return [{"seed": i, "base": result(bt, br), "change": result(ct, cr, failed=i == 3)}
+            for i, (bt, ct, br, cr) in enumerate(zip(base_tails, change_tails,
+                                                     base_rows, change_rows))]
+
+
+def test_summary_of_canned_pairs():
+    summary = bench_pairs.summarize(canned_pairs(), BETTER)
 
     assert summary["pairs"] == 10
     assert summary["attempted"] == {"base": 1000, "change": 1000}
@@ -45,6 +48,16 @@ def test_summary_of_canned_pairs():
     assert rows["pairs_won"] == 5
     assert rows["base"] == {"median": 1000, "q1": 1000, "q3": 1000, "iqr": 0}
     assert rows["gain_shown"] is False
+
+
+def test_claim_lines_of_canned_pairs():
+    summary = bench_pairs.summarize(canned_pairs(), BETTER)
+    assert bench_pairs.claim_lines(summary) == [
+        "req_tail_s: median 0.159 base, 0.1315 change (base IQR 0.013); "
+        "change lower in 9 of 10 pairs; gain shown",
+        "rows_per_s: median 1000 base, 1005 change (base IQR 0); "
+        "change higher in 5 of 10 pairs; no gain shown",
+    ]
 
 
 def test_a_gain_within_the_base_spread_does_not_show():

@@ -292,23 +292,27 @@ class TestProject:
     def test_unknown_scenario(self, capsys):
         code, _, err = run_cli(capsys, "project", "--scenario", "utopia")
         assert code == 1
-        assert "utopia" in err
+        assert err == ("error: unknown scenario 'utopia'; "
+                       "choose from best_case, best_guess, worst_case, custom\n")
 
-    def test_custom_scenario_is_labelled_custom(self, capsys, tmp_path):
+    @pytest.mark.parametrize("names", ["best_case,custom", "custom,best_case"])
+    def test_custom_scenario_is_labelled_custom(self, capsys, tmp_path, names):
         # The config's scenario starts from the best_case preset but changes
-        # it, so its rows and crossing line must not read best_case.
+        # it, so its rows and crossing line must not read best_case. Rows and
+        # crossing lines follow the order of the request.
         config = tmp_path / "custom.yaml"
         config.write_text("scenario: {name: best_case, experts_per_year: 2}\n")
         code, out, err = run_cli(
-            capsys, "project", "--years", "2023:2024", "--scenario", "best_case,custom",
+            capsys, "project", "--years", "2023:2024", "--scenario", names,
             "--config", str(config),
         )
         assert code == 0
+        first, second = names.split(",")
         _, rows = parse_csv(out)
-        assert [r[0] for r in rows] == ["best_case", "best_case", "custom", "custom"]
+        assert [r[0] for r in rows] == [first, first, second, second]
         assert rows[1][1:] != rows[3][1:]  # 2024: fewer experts added
-        assert err.startswith("best_case: crosses")
-        assert "\ncustom: crosses" in err
+        assert err.startswith(f"{first}: crosses")
+        assert f"\n{second}: crosses" in err
 
     @pytest.mark.parametrize("names", ["best_guess,best_guess", "custom, custom",
                                        "best_case,custom,best_case"])

@@ -308,9 +308,8 @@ class CountingGaps:
 
 
 # The event loop as it was before its min() calls were spelled out as
-# comparisons, its draws bound to gaps.__next__ and its every-group-up loop
-# added: one event per pass, kept verbatim as the reference the current
-# loop must match exactly.
+# comparisons and its draws bound to gaps.__next__: one event per pass,
+# kept verbatim as the reference the current loop must match exactly.
 def reference_run_events(
     run: RunPolicy,
     gaps: Iterator[float],
@@ -566,7 +565,7 @@ class TestEventLoopMatchesReference:
         assert_matches_reference(run, max_wall_h, lambda: _replication_gaps(*key))
 
     @pytest.mark.parametrize("name", F0_CASES)
-    def test_f0_fast_path_matches_reference(self, name):
+    def test_f0_case_matches_reference(self, name):
         assert_named_case(*F0_CASES[name])
 
     @pytest.mark.parametrize("name", RIDE_OUT_CASES)

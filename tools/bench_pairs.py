@@ -20,7 +20,10 @@ medians, quartiles and the pairs the change won, the seeds, the commit
 ids, and the Python version, core count and PYTHONDONTWRITEBYTECODE
 setting of the host. If --out already exists, the new run is added to its
 runs, so that no run of a claim is left out of its file, and the file's
-top-level summary pools the pairs of every run. Standard library only.
+top-level summary pools the pairs of every run. Once the file is written,
+one line per end-to-end metric of that pooled summary goes to stderr: each
+side's median, the base's IQR, the pairs the change won and whether a gain
+shows. Standard library only.
 """
 
 from __future__ import annotations
@@ -94,6 +97,18 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
                    for side in ("base", "change")},
         "metrics": metrics,
     }
+
+
+def claim_lines(summary: dict) -> list[str]:
+    """One line per metric of summarize's result: each side's median, the base's
+    interquartile range, the pairs the change won and whether a gain shows."""
+    return [
+        f"{name}: median {metric['base']['median']:.4g} base, "
+        f"{metric['change']['median']:.4g} change (base IQR {metric['base']['iqr']:.4g}); "
+        f"change {metric['better']} in {metric['pairs_won']} of {summary['pairs']} pairs; "
+        f"{'gain shown' if metric['gain_shown'] else 'no gain shown'}"
+        for name, metric in summary["metrics"].items()
+    ]
 
 
 def probe_spread(pairs: list[dict]) -> dict | None:
@@ -245,6 +260,8 @@ def main(argv: list[str] | None = None) -> int:
     }
     report = add_run(earlier, args.workload, seconds, run, better)
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    for line in claim_lines(report["summary"]):
+        print(f"{args.out}: {line}", file=sys.stderr)
     shutil.rmtree(WORK)
     return 0
 
