@@ -205,6 +205,7 @@ def cmd_sweep(config: ConfigFile, gpus_list: list[int]) -> tuple[CsvTable, str, 
             model, config.scaling, config.cluster, variants, gpus_list
         ):
             cells = _sweep_cells(numbers)
+            # _SWEEP_FIELDS ends with the four cells a row is checked by.
             wall_h, gpu_hours, gpu_dollars, status = cells[-4:]
             if status == STATUS_OK:
                 _require_finite(wall_h, gpu_hours, gpu_dollars)
