@@ -19,11 +19,11 @@ which degenerates gracefully to the failure-free time, and signals a
 NoProgress regime when the expected loss per interrupt reaches the
 effective mean time to interrupt.
 
-One pass of the closed form, _training_numbers, computes a run's numbers
-in RunBreakdown's field order; every RunBreakdown is built from such a
-pass. A sweep streams the numbers themselves (sweep_numbers), so a caller
-that only formats them builds no record per cell; sweep_system_size is the
-same sweep as a list of records.
+_paper_policy derives a run's policy (groups, work target, MTTI, write time,
+Young/Daly tau) and _paper_expectation prices it by the waste formula, each
+in RunBreakdown's field order. sweep_numbers streams those numbers, so a
+caller that only formats them builds no record per cell; sweep_system_size
+is the same sweep as a list of records.
 """
 
 from __future__ import annotations
@@ -226,8 +226,8 @@ def optimal_checkpoint_interval(delta_h: float, m_eff_h: float, solve_h: float) 
     return min(math.sqrt(2.0 * delta_h * m_eff_h), solve_h)
 
 
-def _training_numbers(flops, cluster: ClusterSpec, resilience: ResilienceConfig) -> tuple:
-    """One pass of the closed form: RunBreakdown's fields for flops of work on cluster."""
+def _paper_policy(flops, cluster: ClusterSpec, resilience: ResilienceConfig) -> tuple:
+    """The paper's policy for flops of work on cluster: RunPolicy's fields, m_eff, efficiency."""
     groups = group_count(cluster, resilience)
     efficiency = parallel_efficiency(groups, resilience.seq_fraction)
     # The work target: failure-free, checkpoint-free hours of compute.
@@ -243,11 +243,17 @@ def _training_numbers(flops, cluster: ClusterSpec, resilience: ResilienceConfig)
     tau = optimal_checkpoint_interval(delta, m_eff, solve_h)
     if not tau > 0:
         raise ValueError("checkpoint interval underflows to zero")
-    ckpt_overhead = (math.ceil(solve_h / tau) - 1) * delta  # tau <= solve_h: never < 0
+    return (solve_h, tau, delta, mtti, groups, resilience.tolerated_group_failures,
+            resilience.ttr_h, m_eff, efficiency)
 
+
+def _paper_expectation(policy: tuple, cluster: ClusterSpec) -> tuple:
+    """The paper's waste formula for a _paper_policy on cluster: RunBreakdown's other fields."""
+    solve_h, tau, delta, _, _, _, ttr_h, m_eff, _ = policy
+    ckpt_overhead = (math.ceil(solve_h / tau) - 1) * delta  # solve_h / tau > 0: never < 0
     # Expected loss per interrupt: half a segment of rework plus recovery. It is
     # zero only where tau / 2 underflows and ttr_h is 0; then nothing is lost.
-    loss_per_interrupt = tau / 2.0 + resilience.ttr_h
+    loss_per_interrupt = tau / 2.0 + ttr_h
     availability = 1.0 - loss_per_interrupt / m_eff
     status = STATUS_OK
     if availability <= 0.0:
@@ -262,11 +268,7 @@ def _training_numbers(flops, cluster: ClusterSpec, resilience: ResilienceConfig)
 
     gpu_hours = wall * cluster.n_gpus
     gpu_dollars, _ = dollar_cost(gpu_hours, cluster.rates)
-    return (
-        solve_h, tau, delta, mtti, groups, resilience.tolerated_group_failures,
-        resilience.ttr_h, m_eff, efficiency, ckpt_overhead, rework, restart, wall,
-        gpu_hours, gpu_dollars, status,
-    )
+    return ckpt_overhead, rework, restart, wall, gpu_hours, gpu_dollars, status
 
 
 def expected_runtime(
@@ -276,8 +278,8 @@ def expected_runtime(
     resilience: ResilienceConfig,
 ) -> RunBreakdown:
     """Expected time and cost to train one model on a failing cluster."""
-    return RunBreakdown(*_training_numbers(moe_training_flops(model, constants), cluster,
-                                           resilience))
+    policy = _paper_policy(moe_training_flops(model, constants), cluster, resilience)
+    return RunBreakdown(*policy, *_paper_expectation(policy, cluster))
 
 
 def sweep_numbers(
@@ -289,8 +291,8 @@ def sweep_numbers(
 ) -> Iterator[tuple[int, str, tuple]]:
     """Yield every (system size, strategy, numbers) cell of a time-to-train sweep in grid order.
 
-    A cell's numbers are its RunBreakdown's fields in order, so
-    RunBreakdown(*numbers) equals expected_runtime at that size with the
+    A cell's numbers are its paper policy, then the paper's expectation of
+    it: RunBreakdown(*numbers) equals expected_runtime at that size with the
     strategy's bandwidth. The grid, every size in it and the variants are
     checked before the first cell is computed. NoProgress cells are
     yielded as data, not raised.
@@ -316,7 +318,8 @@ def sweep_numbers(
 
     for n_gpus in n_gpus_list:
         for name, resilience, rest in strategies:
-            yield n_gpus, name, _training_numbers(flops, ClusterSpec(n_gpus, *rest), resilience)
+            policy = _paper_policy(flops, cluster := ClusterSpec(n_gpus, *rest), resilience)
+            yield n_gpus, name, policy + _paper_expectation(policy, cluster)
 
 
 def sweep_system_size(

@@ -1,12 +1,12 @@
 """Discrete-event Monte Carlo simulation of a checkpointed training run.
 
 This is the independent oracle for the closed forms in cluster_model.
-SimConfig.run is the closed form's RunBreakdown for the config's inputs. The
-event loop reads only its RunPolicy: work target, checkpoint interval and
-write time, interrupt rate, group count, tolerance and repair time. It plays
-out explicit failures, repairs, rollbacks and restarts. analytic_verdict
-compares a simulated mean with an expectation its caller passes; simulate
-and validate_analytic pass the breakdown's closed-form wall_h.
+SimConfig.run is the paper's run policy for the config's inputs and the
+paper's expectation of it, as one RunBreakdown. The event loop reads only
+the policy (RunPolicy: work, checkpoints, failures, groups, tolerance and
+repairs) and plays out explicit failures, repairs, rollbacks and restarts.
+analytic_verdict compares a simulated mean with an expectation its caller
+passes; simulate and validate_analytic pass the paper's expected wall_h.
 
 Event semantics
 ---------------

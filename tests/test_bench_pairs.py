@@ -37,27 +37,64 @@ def test_summary_of_canned_pairs():
     assert summary["attempted"] == {"base": 1000, "change": 1000}
     assert summary["failed"] == {"base": 0, "change": 1}
     tail = summary["metrics"]["req_tail_s"]
-    assert tail["pairs_won"] == 9
+    assert (tail["pairs_won"], tail["pairs_lost"]) == (9, 1)
     assert tail["base"]["median"] == pytest.approx(0.159)
     assert tail["change"]["median"] == pytest.approx(0.1315)
     # statistics.quantiles(method="inclusive") interpolates as numpy's default.
     assert (tail["base"]["q1"], tail["base"]["q3"]) == pytest.approx((0.15125, 0.16425))
     assert tail["base"]["iqr"] == pytest.approx(0.013)
     assert tail["gain_shown"] is True
+    # Per-pair change/base: 0.753-0.893 but for 0.145/0.140. The quartiles
+    # interpolate 0.131/0.165 to 0.13/0.16, 0.129/0.158 to 0.133/0.162 and
+    # 0.135/0.155 to 0.132/0.15; 9 to 1 is 2 * 11/1024 by the sign test.
+    assert (tail["ratio"]["q1"], tail["ratio"]["median"], tail["ratio"]["q3"]) == pytest.approx(
+        (0.79858, 0.81872, 0.87774), abs=1e-5)
+    assert tail["sign_p"] == pytest.approx(22 / 1024)
+    assert tail["paired"] == "gain"
     rows = summary["metrics"]["rows_per_s"]
-    assert rows["pairs_won"] == 5
+    assert (rows["pairs_won"], rows["pairs_lost"]) == (5, 4)
     assert rows["base"] == {"median": 1000, "q1": 1000, "q3": 1000, "iqr": 0}
     assert rows["gain_shown"] is False
+    assert rows["ratio"] == pytest.approx(
+        {"median": 1.005, "q1": 0.9825, "q3": 1.0275, "iqr": 0.045})
+    assert (rows["sign_p"], rows["paired"]) == (1.0, "unresolved")
 
 
 def test_claim_lines_of_canned_pairs():
     summary = bench_pairs.summarize(canned_pairs(), BETTER)
     assert bench_pairs.claim_lines(summary) == [
         "req_tail_s: median 0.159 base, 0.1315 change (base IQR 0.013); "
-        "change lower in 9 of 10 pairs; gain shown",
+        "change lower in 9 of 10 pairs; gain shown; "
+        "paired gain: ratio 0.819 [0.799, 0.878], 1 lost, sign test p 0.021",
         "rows_per_s: median 1000 base, 1005 change (base IQR 0); "
-        "change higher in 5 of 10 pairs; no gain shown",
+        "change higher in 5 of 10 pairs; no gain shown; "
+        "paired unresolved: ratio 1.005 [0.982, 1.027], 4 lost, sign test p 1",
     ]
+
+
+def test_a_loss_in_every_pair_reads_as_a_paired_loss():
+    # The change's tail is 5-10% higher in every pair, inside the base's spread.
+    base = [1.0, 1.2, 1.4, 1.6, 1.8, 2.0, 2.2, 2.4, 2.6, 2.8]
+    pairs = [{"base": result(t, 1.0), "change": result(t * (1.05 + i / 200), 1.0)}
+             for i, t in enumerate(base)]
+    summary = bench_pairs.summarize(pairs, BETTER)
+    tail = summary["metrics"]["req_tail_s"]
+    assert (tail["pairs_won"], tail["pairs_lost"], tail["gain_shown"]) == (0, 10, False)
+    assert tail["ratio"]["q1"] > 1.0
+    assert (tail["sign_p"], tail["paired"]) == (2 / 1024, "loss")
+    assert bench_pairs.claim_lines(summary)[0].endswith(
+        "no gain shown; paired loss: ratio 1.073 [1.061, 1.084], 10 lost, sign test p 0.002")
+    # Every pair tied: nothing to test.
+    assert summary["metrics"]["rows_per_s"]["sign_p"] == 1.0
+    assert summary["metrics"]["rows_per_s"]["paired"] == "unresolved"
+
+
+@pytest.mark.parametrize("won, lost, p", [
+    (10, 0, 2 / 1024), (0, 10, 2 / 1024), (9, 1, 22 / 1024), (5, 5, 1.0), (0, 0, 1.0),
+    (3, 0, 0.25),
+])
+def test_the_sign_test_is_exact_and_two_sided(won, lost, p):
+    assert bench_pairs.sign_test(won, lost) == pytest.approx(p)
 
 
 def test_a_gain_within_the_base_spread_does_not_show():

@@ -12,6 +12,7 @@ from traincost.cluster_model import (
     ClusterSpec,
     ResilienceConfig,
     SweepVariant,
+    _paper_expectation,
     checkpoint_write_time,
     effective_mtti,
     expected_runtime,
@@ -204,6 +205,31 @@ class TestRuntimeFromSolve:
         assert got.status == STATUS_NO_PROGRESS
         assert got.wall_h == math.inf
         assert not got.ok
+
+    # A hand-made policy: (solve_h, tau_h, delta_h, mtti_h, groups, F, ttr_h,
+    # mtti_eff_h, efficiency). The expectation reads the cluster's size and rates only.
+    PRICED_ON = SimpleNamespace(n_gpus=1000, rates=CostRates())
+
+    def test_no_progress_where_availability_is_exactly_zero(self):
+        # tau/2 + ttr = 1 + 1 = m_eff: every interrupt loses as much as it allows.
+        policy = (10.0, 2.0, 0.5, 2.0, 1, 0, 1.0, 2.0, 1.0)
+        overhead, rework, restart, wall, gpu_hours, gpu_dollars, status = (
+            _paper_expectation(policy, self.PRICED_ON))
+        assert status == STATUS_NO_PROGRESS
+        assert (wall, rework, restart) == (math.inf, math.inf, math.inf)
+        assert (overhead, gpu_hours, gpu_dollars) == (2.0, math.inf, math.inf)
+
+    def test_any_tau_is_priced_by_the_paper_formula(self):
+        # tau = 10 h is not Young/Daly's sqrt(2 * 0.5 * 100) h, and the MTTI,
+        # group count, F and efficiency disagree with m_eff = 100 h: only the
+        # policy's solve, tau, delta, ttr and m_eff enter the formula.
+        policy = (100.0, 10.0, 0.5, 1e9, 4, 1, 2.0, 100.0, 0.5)
+        got = _paper_expectation(policy, self.PRICED_ON)
+        # 9 writes of 0.5 h, so 104.5 h of base; 5 + 2 h lost per interrupt, so an
+        # availability of 0.93 and a wall of 10450/93 h. Its 731.5/93 h of
+        # inflation splits 5:2 into rework and restart.
+        assert got == pytest.approx((4.5, 3657.5 / 651, 1463 / 651, 10450 / 93,
+                                     1000 * 10450 / 93, 2500 * 10450 / 93, STATUS_OK), rel=1e-12)
 
     @given(
         st.floats(min_value=10.0, max_value=1e5),

@@ -610,6 +610,16 @@ class TestEventLoopMatchesReference:
         got, _ = assert_matches_reference(run, max_wall_h, lambda: iter(gaps))
         assert got == want
 
+    # F == G == 2 with ttr 50 h: the failures at 0.5 and 1 h take both groups
+    # down, and the one at 1.5 h finds none up, so it is ridden out, not an
+    # interrupt. Work at full rate from 51 h, with 1 h done, ends at 150.9 h.
+    def test_a_failure_with_every_group_down_at_f_equal_g_is_ridden_out(self):
+        run, max_wall_h, _ = loop_case(2, 2, 1.0, 50.0, 5000.0, solve_h=100.0, tau_h=10.0,
+                                       delta_h=0.1)
+        got, _ = assert_matches_reference(
+            run, max_wall_h, lambda: itertools.chain([0.5, 0.5, 0.5], itertools.repeat(1000.0)))
+        assert got == (pytest.approx(150.9), EventCounts(3, 2, 9, 0))
+
     # An event exactly at the horizon is played; the run is censored at the
     # first event past it. Work ends at 9 and 19.5 h and writes end at 10.5
     # and 21 h, as above, with solve 200 h.

@@ -16,14 +16,16 @@ drifting host shows beside them.
 
 The JSON file holds a list of runs of one workload. Each run holds every
 result line of its pairs with their host probes, each end-to-end metric's
-medians, quartiles and the pairs the change won, the seeds, the commit
+medians, quartiles, the pairs the change won and lost, the per-pair
+change/base ratio's quartiles and a sign test's p, the seeds, the commit
 ids, and the Python version, core count and PYTHONDONTWRITEBYTECODE
 setting of the host. If --out already exists, the new run is added to its
 runs, so that no run of a claim is left out of its file, and the file's
 top-level summary pools the pairs of every run. Once the file is written,
 one line per end-to-end metric of that pooled summary goes to stderr: each
-side's median, the base's IQR, the pairs the change won and whether a gain
-shows. Standard library only.
+side's median, the base's IQR, the pairs the change won, whether a gain
+shows, and the paired verdict (gain, loss or unresolved) with the ratio, the
+pairs lost and p. Standard library only.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import platform
 import shutil
@@ -42,6 +45,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORK = ROOT / ".bench_work" / "pairs"
+# A paired verdict needs a sign test below this level.
+PAIRED_LEVEL = 0.05
 # The probe loop; it prints its own time in ms, about 45 ms on a 2-core
 # x86-64 container under CPython 3.11.
 PROBE = ("import time\nstart = time.perf_counter()\ntotal = 0\n"
@@ -63,16 +68,28 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
+def sign_test(won: int, lost: int) -> float:
+    """Exact two-sided sign test: the chance of a split at least as uneven as
+    won to lost among won + lost untied pairs, if either side is as likely to win."""
+    untied = won + lost
+    tail = sum(math.comb(untied, k) for k in range(min(won, lost) + 1))
+    return min(1.0, 2 * tail / 2 ** untied)
+
+
 def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     """Request counts, and per metric each side's quartiles, the pairs the change won
-    and whether a gain shows.
+    and lost, the per-pair ratio, a sign test, and whether a gain shows by each rule.
 
     pairs holds {"base": result, "change": result} with perfbench/run.py's
     result objects; better maps each metric to "lower" or "higher". A pair
-    won is one where the change reads strictly better; ties count for
-    neither side. A gain shows when the change won at least nine tenths of
-    the pairs and its median is better than the base's by more than the
-    base's interquartile range.
+    won is one where the change reads strictly better, and one lost strictly
+    worse; ties count for neither side.
+    - gain_shown, the unpaired rule: the change won at least nine tenths of
+      the pairs and its median is better than the base's by more than the
+      base's interquartile range.
+    - paired: "gain" or "loss" when the per-pair change/base ratio's
+      quartiles lie wholly on that side of 1 and the sign test's p over the
+      untied pairs is below PAIRED_LEVEL; otherwise "unresolved".
     """
     metrics = {}
     for name, direction in better.items():
@@ -80,14 +97,28 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
         values = {side: [pair[side]["metrics"][name]["value"] for pair in pairs]
                   for side in ("base", "change")}
         sides = {side: spread(series) for side, series in values.items()}
-        won = sum(sign * (change - base) > 0
-                  for base, change in zip(values["base"], values["change"]))
+        pairwise = list(zip(values["base"], values["change"]))
+        won = sum(sign * (change - base) > 0 for base, change in pairwise)
+        lost = sum(sign * (change - base) < 0 for base, change in pairwise)
         margin = sign * (sides["change"]["median"] - sides["base"]["median"])
+        ratio = spread([change / base for base, change in pairwise])
+        p = sign_test(won, lost)
+        # The ratio's quartiles, signed so that one better than 1 reads > 0.
+        low, high = sorted(sign * (ratio[q] - 1.0) for q in ("q1", "q3"))
+        paired = "unresolved"
+        if p < PAIRED_LEVEL and low > 0:
+            paired = "gain"
+        elif p < PAIRED_LEVEL and high < 0:
+            paired = "loss"
         metrics[name] = {
             "better": direction,
             **sides,
             "pairs_won": won,
+            "pairs_lost": lost,
             "gain_shown": won >= 0.9 * len(pairs) and margin > sides["base"]["iqr"],
+            "ratio": ratio,
+            "sign_p": p,
+            "paired": paired,
         }
     return {
         "pairs": len(pairs),
@@ -101,12 +132,16 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
 
 def claim_lines(summary: dict) -> list[str]:
     """One line per metric of summarize's result: each side's median, the base's
-    interquartile range, the pairs the change won and whether a gain shows."""
+    interquartile range, the pairs the change won, whether a gain shows, and the
+    paired verdict with its ratio, losses and sign test."""
     return [
         f"{name}: median {metric['base']['median']:.4g} base, "
         f"{metric['change']['median']:.4g} change (base IQR {metric['base']['iqr']:.4g}); "
         f"change {metric['better']} in {metric['pairs_won']} of {summary['pairs']} pairs; "
-        f"{'gain shown' if metric['gain_shown'] else 'no gain shown'}"
+        f"{'gain shown' if metric['gain_shown'] else 'no gain shown'}; "
+        f"paired {metric['paired']}: ratio {metric['ratio']['median']:.3f} "
+        f"[{metric['ratio']['q1']:.3f}, {metric['ratio']['q3']:.3f}], "
+        f"{metric['pairs_lost']} lost, sign test p {metric['sign_p']:.2g}"
         for name, metric in summary["metrics"].items()
     ]
 
