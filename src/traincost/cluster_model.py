@@ -227,7 +227,7 @@ def optimal_checkpoint_interval(delta_h: float, m_eff_h: float, solve_h: float) 
 
 
 def _paper_policy(flops, cluster: ClusterSpec, resilience: ResilienceConfig) -> tuple:
-    """The paper's policy for flops of work on cluster: RunPolicy's fields, m_eff, efficiency."""
+    """The paper's policy for flops on cluster: RunPolicy's fields, mtti_eff_h, efficiency."""
     groups = group_count(cluster, resilience)
     efficiency = parallel_efficiency(groups, resilience.seq_fraction)
     # The work target: failure-free, checkpoint-free hours of compute.
